@@ -16,6 +16,9 @@ cargo build --workspace --release --offline
 echo "==> cargo test (workspace)"
 cargo test --workspace --offline -q
 
+echo "==> benchmark quick mode (perfbench builds on the public dist/tucker/serve calls)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> verify: differential oracles + invariant checkers"
 cargo test -q --offline -p ratucker-verify
 

@@ -96,6 +96,17 @@ impl TensorDist {
         block_range(self.global.dim(mode), self.grid_dims[mode], q)
     }
 
+    /// The block at the given grid coordinates as per-mode global
+    /// `(offsets, lens)` — the form the run-copy primitives take.
+    pub fn block_of(&self, coords: &[usize]) -> (Vec<usize>, Vec<usize>) {
+        (0..self.global.order())
+            .map(|k| {
+                let r = self.range(k, coords[k]);
+                (r.offset, r.len)
+            })
+            .unzip()
+    }
+
     /// The local shape at the given grid coordinates.
     pub fn local_shape(&self, coords: &[usize]) -> Shape {
         let dims: Vec<usize> = (0..self.global.order())

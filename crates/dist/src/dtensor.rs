@@ -7,7 +7,7 @@
 
 use crate::distribution::TensorDist;
 use ratucker_mpi::{CartGrid, CommError};
-use ratucker_tensor::dense::DenseTensor;
+use ratucker_tensor::dense::{append_block, copy_block, DenseTensor};
 use ratucker_tensor::scalar::Scalar;
 use ratucker_tensor::shape::Shape;
 
@@ -59,9 +59,22 @@ impl<T: Scalar> DistTensor<T> {
 
     /// Extracts this rank's block from a replicated global tensor.
     pub fn scatter_from_replicated(grid: &CartGrid, global: &DenseTensor<T>) -> Self {
-        let g = global.clone();
-        let shape = g.shape().clone();
-        Self::from_fn(grid, shape, |idx| g.get(idx))
+        let dist = TensorDist::new(global.shape().clone(), grid.dims());
+        let coords = grid.coords().to_vec();
+        let (offsets, lens) = dist.block_of(&coords);
+        let mut data = Vec::new();
+        append_block(
+            global.data(),
+            global.shape().dims(),
+            &offsets,
+            &lens,
+            &mut data,
+        );
+        DistTensor {
+            local: DenseTensor::from_vec(Shape::new(&lens), data),
+            dist,
+            coords,
+        }
     }
 
     /// The distribution metadata.
@@ -120,30 +133,32 @@ impl<T: Scalar> DistTensor<T> {
     pub fn try_gather_replicated(&self, grid: &CartGrid) -> Result<DenseTensor<T>, CommError> {
         let payload = self.local.data().to_vec();
         let blocks = grid.comm.try_allgatherv(payload)?;
-        let mut out = DenseTensor::zeros(self.dist.global().clone());
-        let d = self.dist.global().order();
+        let global = self.dist.global();
+        let mut out = DenseTensor::zeros(global.clone());
         for (rank, block) in blocks.into_iter().enumerate() {
             let coords = CartGrid::rank_to_coords(rank, grid.dims());
-            let ranges: Vec<_> = (0..d).map(|k| self.dist.range(k, coords[k])).collect();
-            let local_dims: Vec<usize> = ranges.iter().map(|r| r.len).collect();
-            let local_shape = Shape::new(&local_dims);
-            if block.len() != local_shape.num_entries() {
+            let (offsets, lens) = self.dist.block_of(&coords);
+            let expected: usize = lens.iter().product();
+            if block.len() != expected {
                 // Channel desync from a dropped message: typed and
                 // failure-class rather than an untyped panic.
                 return Err(CommError::SizeMismatch {
                     src: grid.comm.world_rank_of(rank),
                     dst: grid.comm.world_rank_of(grid.comm.rank()),
-                    expected: local_shape.num_entries(),
+                    expected,
                     got: block.len(),
                 });
             }
-            let mut gidx = vec![0usize; d];
-            for (off, lidx) in local_shape.indices().enumerate() {
-                for k in 0..d {
-                    gidx[k] = ranges[k].offset + lidx[k];
-                }
-                out.set(&gidx, block[off]);
-            }
+            let zeros = vec![0; lens.len()];
+            copy_block(
+                &block,
+                &lens,
+                &zeros,
+                out.data_mut(),
+                global.dims(),
+                &offsets,
+                &lens,
+            );
         }
         Ok(out)
     }

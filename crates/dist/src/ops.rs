@@ -21,7 +21,7 @@ use crate::distribution::block_range;
 use crate::dtensor::DistTensor;
 use ratucker_mem::{self as mem, MemPhase};
 use ratucker_mpi::{sum_op, CartGrid, Comm, CommError, Request};
-use ratucker_tensor::dense::DenseTensor;
+use ratucker_tensor::dense::{append_block, DenseTensor};
 use ratucker_tensor::matrix::Matrix;
 use ratucker_tensor::scalar::Scalar;
 use ratucker_tensor::ttm::{ttm, Transpose};
@@ -218,11 +218,14 @@ fn ttm_impl<T: Scalar>(
     // Restrict the operand to this rank's slice of the contracted mode.
     let m_sub = match trans {
         // M : out_dim × n_j, keep columns my_range.
-        Transpose::No => Matrix::from_fn(out_dim, my_range.len, |i, j| m[(i, my_range.offset + j)]),
+        Transpose::No => Matrix::from_vec(
+            out_dim,
+            my_range.len,
+            m.as_slice()[my_range.offset * out_dim..(my_range.offset + my_range.len) * out_dim]
+                .to_vec(),
+        ),
         // M : n_j × out_dim, keep rows my_range.
-        Transpose::Yes => {
-            Matrix::from_fn(my_range.len, out_dim, |i, j| m[(my_range.offset + i, j)])
-        }
+        Transpose::Yes => m.row_slice(my_range.offset, my_range.len),
     };
     debug_assert_eq!(
         match trans {
@@ -749,35 +752,21 @@ pub fn try_dist_contract<T: Scalar>(
         }
     }
 
-    // Extract the core block matching this rank's non-mode ranges.
-    let ranges: Vec<_> = (0..d)
-        .map(|k| {
-            if k == mode {
-                crate::distribution::BlockRange {
-                    offset: 0,
-                    len: r_j,
-                }
-            } else {
-                y.dist().range(k, y.coords()[k])
-            }
-        })
-        .collect();
+    // The core block matching this rank's non-mode ranges; each slab
+    // below narrows its mode-`mode` range.
+    let (core_offsets, core_lens) = y.dist().block_of(y.coords());
     let my_rows = y.dist().range(mode, grid.coord(mode));
     // A rank's local contraction for a *column slab* of the iterate only
     // needs the matching mode-slab of the core, so the iterate can be
     // built in column slabs — and slab s's allreduce overlapped with
     // slab s+1's local contraction (`Overlap on`, DESIGN.md §17).
     let make_slab = |cr: crate::distribution::BlockRange| {
-        let mut slab_ranges = ranges.clone();
-        slab_ranges[mode] = cr;
-        let sub_dims: Vec<usize> = slab_ranges.iter().map(|r| r.len).collect();
-        let mut gidx = vec![0usize; d];
-        let g_s = DenseTensor::from_fn(ratucker_tensor::shape::Shape::new(&sub_dims), |lidx| {
-            for k in 0..d {
-                gidx[k] = slab_ranges[k].offset + lidx[k];
-            }
-            core.get(&gidx)
-        });
+        let (mut offsets, mut lens) = (core_offsets.clone(), core_lens.clone());
+        offsets[mode] = cr.offset;
+        lens[mode] = cr.len;
+        let mut data = Vec::new();
+        append_block(core.data(), core.shape().dims(), &offsets, &lens, &mut data);
+        let g_s = DenseTensor::from_vec(ratucker_tensor::shape::Shape::new(&lens), data);
         // Local contraction covers my row block and the slab's columns;
         // embed at my row offset for the sum-reduce + broadcast.
         let z_s = ratucker_tensor::contract::contract_all_but(y.local(), &g_s, mode);

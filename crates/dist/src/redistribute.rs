@@ -18,9 +18,8 @@ use crate::dtensor::DistTensor;
 use crate::ops::budget_error;
 use ratucker_mem::{self as mem, MemPhase};
 use ratucker_mpi::{CartGrid, Comm, CommError};
-use ratucker_tensor::dense::DenseTensor;
+use ratucker_tensor::dense::{append_block, for_each_run, DenseTensor};
 use ratucker_tensor::scalar::Scalar;
-use ratucker_tensor::shape::Shape;
 
 /// A contiguous axis-aligned brick of the global tensor: the per-mode
 /// global index ranges it covers plus its entries in mode-0-fastest
@@ -61,18 +60,17 @@ fn extract_sub<T: Scalar>(
     piece: &BlockPiece<T>,
     inter: &[BlockRange],
 ) -> Result<Vec<T>, mem::BudgetExceeded> {
-    let piece_shape = Shape::new(&piece.ranges.iter().map(|r| r.len).collect::<Vec<_>>());
-    let sub_shape = Shape::new(&inter.iter().map(|r| r.len).collect::<Vec<_>>());
-    let d = inter.len();
-    mem::ensure_headroom(mem::bytes_of::<T>(sub_shape.num_entries()))?;
-    let mut out = Vec::with_capacity(sub_shape.num_entries());
-    let mut lidx = vec![0usize; d];
-    for idx in sub_shape.indices() {
-        for k in 0..d {
-            lidx[k] = inter[k].offset - piece.ranges[k].offset + idx[k];
-        }
-        out.push(piece.data[piece_shape.linear_index(&lidx)]);
-    }
+    let piece_dims: Vec<usize> = piece.ranges.iter().map(|r| r.len).collect();
+    let offsets: Vec<usize> = inter
+        .iter()
+        .zip(&piece.ranges)
+        .map(|(i, p)| i.offset - p.offset)
+        .collect();
+    let lens: Vec<usize> = inter.iter().map(|r| r.len).collect();
+    let n: usize = lens.iter().product();
+    mem::ensure_headroom(mem::bytes_of::<T>(n))?;
+    let mut out = Vec::with_capacity(n);
+    append_block(&piece.data, &piece_dims, &offsets, &lens, &mut out);
     Ok(out)
 }
 
@@ -188,8 +186,8 @@ pub fn try_redistribute<T: Scalar>(
         DenseTensor::<T>::try_zeros(local_shape.clone()).map_err(|e| budget_error(comm, e))?;
     let mut written = mem::TrackedBuf::try_filled(local_shape.num_entries(), false)
         .map_err(|e| budget_error(comm, e))?;
+    let local_dims = local_shape.dims();
     let header = 2 * d;
-    let mut lidx = vec![0usize; d];
     for (src, (meta_s, data_s)) in meta_in.into_iter().zip(data_in).enumerate() {
         if !meta_s.len().is_multiple_of(header.max(1)) {
             // Truncated or misrouted metadata payload: typed, so the
@@ -211,8 +209,8 @@ pub fn try_redistribute<T: Scalar>(
                     len: pair[1] as usize,
                 })
                 .collect();
-            let sub_shape = Shape::new(&inter.iter().map(|r| r.len).collect::<Vec<_>>());
-            let n = sub_shape.num_entries();
+            let lens: Vec<usize> = inter.iter().map(|r| r.len).collect();
+            let n: usize = lens.iter().product();
             if cursor + n > data_s.len() {
                 return Err(CommError::SizeMismatch {
                     src: comm.world_rank_of(src),
@@ -223,18 +221,21 @@ pub fn try_redistribute<T: Scalar>(
             }
             let sub = &data_s[cursor..cursor + n];
             cursor += n;
-            for (off, idx) in sub_shape.indices().enumerate() {
-                for k in 0..d {
-                    lidx[k] = inter[k].offset - my_ranges[k].offset + idx[k];
-                }
-                let li = local_shape.linear_index(&lidx);
+            let offsets: Vec<usize> = inter
+                .iter()
+                .zip(&my_ranges)
+                .map(|(i, m)| i.offset - m.offset)
+                .collect();
+            let zeros = vec![0; d];
+            let dst = local.data_mut();
+            for_each_run(&lens, &zeros, local_dims, &offsets, &lens, |s, t, len| {
                 assert!(
-                    !written[li],
+                    !written[t..t + len].contains(&true),
                     "redistribute: overlapping pieces (entry written twice, src rank {src})"
                 );
-                written[li] = true;
-                local.data_mut()[li] = sub[off];
-            }
+                written[t..t + len].fill(true);
+                dst[t..t + len].copy_from_slice(&sub[s..s + len]);
+            });
         }
         if cursor != data_s.len() {
             // The data payload disagrees with its own metadata — a
@@ -318,6 +319,27 @@ mod tests {
         let active: Vec<_> = results.iter().filter(|r| r.is_some()).collect();
         assert_eq!(active.len(), 2, "2 active + 2 spares");
         assert!(results.into_iter().flatten().all(|r| r == 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "overlapping pieces")]
+    fn overlapping_pieces_are_refused() {
+        // Rows 0..4 and rows 2..6 of a 6×5 tensor: every column run of
+        // the second piece lands partly on entries the first one wrote.
+        Universe::launch(1, |c| {
+            let dist = TensorDist::new(Shape::new(&[6, 5]), &[1, 1]);
+            let reference = DenseTensor::from_fn([6, 5], val);
+            let rows = |offset: usize| {
+                let ranges = vec![
+                    BlockRange { offset, len: 4 },
+                    BlockRange { offset: 0, len: 5 },
+                ];
+                let mut data = Vec::new();
+                append_block(reference.data(), &[6, 5], &[offset, 0], &[4, 5], &mut data);
+                BlockPiece::new(ranges, data)
+            };
+            let _ = try_redistribute(&c, &dist, vec![rows(0), rows(2)]);
+        });
     }
 
     #[test]

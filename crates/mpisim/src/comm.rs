@@ -454,10 +454,18 @@ impl Comm {
     ///
     /// Contract: every surviving member must call `try_agree` after a
     /// failure is detected (the usual collective contract); ranks that
-    /// die before voting are excluded from the result.
+    /// die before voting are excluded from the result. A member already
+    /// retired by its peers (a demoted straggler) gets
+    /// [`CommError::Demoted`]: it has no vote to cast.
     pub fn try_agree(&self) -> Result<Vec<usize>, CommError> {
         let me = self.group[self.rank];
         loop {
+            if !self.fabric.is_alive(me) {
+                // Without this check a retired caller would spin: its
+                // own ctrl sends fail, which the voter branch below
+                // reads as a dead leader and retries forever.
+                return Err(CommError::Demoted { rank: me });
+            }
             let live = self.live_members();
             let leader = *live.iter().min().expect("caller is alive, group nonempty");
             if leader == me {

@@ -306,6 +306,25 @@ mod collective_tests {
     }
 
     #[test]
+    fn a_retired_member_leaves_agreement_with_demoted() {
+        // Rank 1 is evicted by its peer before it reaches agreement (a
+        // straggler demoted while it was busy computing): it must fail
+        // fast with `Demoted` instead of retrying its vote forever.
+        let out = Universe::launch(2, |c| {
+            if c.rank() == 0 {
+                c.fabric().retire(1);
+            }
+            c.try_barrier().ok();
+            if c.rank() == 1 {
+                Some(c.try_agree())
+            } else {
+                None
+            }
+        });
+        assert!(matches!(out[1], Some(Err(CommError::Demoted { rank: 1 }))));
+    }
+
+    #[test]
     fn counters_stay_consistent_under_injected_drop() {
         use std::time::Duration;
         // Regression (satellite): a collective aborting mid-fanout due to

@@ -329,8 +329,14 @@ impl Service {
     /// reports the lifetime books.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.inner.accepting.store(false, Ordering::SeqCst);
-        self.inner.draining.store(true, Ordering::SeqCst);
-        self.inner.work_cv.notify_all();
+        {
+            // Under the queue lock, so no worker sits between its
+            // `draining` check and `work_cv.wait` when the flag flips
+            // (it would miss this wake-up and sleep forever).
+            let _queues = self.inner.queues.lock().unwrap();
+            self.inner.draining.store(true, Ordering::SeqCst);
+            self.inner.work_cv.notify_all();
+        }
         for handle in self.workers.drain(..) {
             handle.join().expect("worker panicked");
         }
@@ -865,6 +871,34 @@ mod tests {
         assert!(report.partition_ok);
         assert_eq!(report.stored_cores, 1);
         assert!(report.global_traffic.total_bytes() > 0);
+    }
+
+    #[test]
+    fn shutdown_never_strands_an_idle_worker() {
+        // Each cycle shuts down while light workers are still draining a
+        // burst of status jobs and going back to sleep; a lost wake-up
+        // hangs `join`, which the watchdog turns into a failure.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for cycle in 0..300 {
+                let service = Service::start(ServeConfig {
+                    p: 1,
+                    query_workers: 4,
+                    ..ServeConfig::default()
+                });
+                if cycle % 50 == 0 {
+                    let c = service.submit("acme", small_compress("f", cycle)).unwrap();
+                    assert!(service.wait(c).0.is_success());
+                }
+                for _ in 0..8 {
+                    service.submit("acme", Request::Status).unwrap();
+                }
+                assert!(service.shutdown().partition_ok);
+            }
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(120))
+            .expect("shutdown hung: a worker missed the draining wake-up");
     }
 
     #[test]

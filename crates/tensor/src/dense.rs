@@ -70,9 +70,7 @@ impl<T: Scalar> DenseTensor<T> {
     pub fn from_fn(shape: impl Into<Shape>, mut f: impl FnMut(&[usize]) -> T) -> Self {
         let shape = shape.into();
         let mut data = Vec::with_capacity(shape.num_entries());
-        for idx in shape.indices() {
-            data.push(f(&idx));
-        }
+        shape.for_each_index(|idx| data.push(f(idx)));
         let charge = Charge::force(bytes_of::<T>(data.len()));
         DenseTensor {
             shape,
@@ -154,13 +152,6 @@ impl<T: Scalar> DenseTensor<T> {
         self.data[self.shape.linear_index(idx)]
     }
 
-    /// Sets the entry at a multi-index.
-    #[inline]
-    pub fn set(&mut self, idx: &[usize], v: T) {
-        let off = self.shape.linear_index(idx);
-        self.data[off] = v;
-    }
-
     /// Frobenius-style tensor norm ‖X‖ (accumulated in `f64`).
     pub fn norm(&self) -> T {
         T::from_f64(self.squared_norm_f64().sqrt())
@@ -226,27 +217,15 @@ impl<T: Scalar> DenseTensor<T> {
                 self.dim(k)
             );
         }
-        let sub_shape = Shape::new(ranks);
-        let mut out = DenseTensor::zeros(sub_shape.clone());
-        // Copy contiguous mode-0 runs.
-        let run = ranks[0];
-        let out_entries = sub_shape.num_entries();
-        let mut idx = vec![0usize; self.order()];
-        let mut out_off = 0;
-        while out_off < out_entries {
-            let src = self.shape.linear_index(&idx);
-            out.data[out_off..out_off + run].copy_from_slice(&self.data[src..src + run]);
-            out_off += run;
-            // Advance the multi-index over modes 1.. (mode 0 handled by runs).
-            for k in 1..self.order() {
-                idx[k] += 1;
-                if idx[k] < ranks[k] {
-                    break;
-                }
-                idx[k] = 0;
-            }
-        }
-        out
+        let mut data = Vec::with_capacity(ranks.iter().product());
+        append_block(
+            &self.data,
+            self.shape.dims(),
+            &vec![0; ranks.len()],
+            ranks,
+            &mut data,
+        );
+        DenseTensor::from_vec(Shape::new(ranks), data)
     }
 
     /// Views the tensor as its mode-0 unfolding: an `n_0 × (N/n_0)`
@@ -290,9 +269,178 @@ impl<T: Scalar> std::fmt::Debug for DenseTensor<T> {
     }
 }
 
+/// Walks a hyper-rectangle of `extents` that sits at `src_off` in a
+/// column-major buffer of shape `src_dims` and at `dst_off` in one of
+/// shape `dst_dims`, calling `f(src_start, dst_start, len)` once per
+/// contiguous run, in the block's own layout order.
+///
+/// Runs are mode-0 columns, widened across every leading mode the block
+/// spans in full in *both* buffers (a whole-tensor copy is one run). An
+/// in-place odometer over the remaining modes carries both linear
+/// offsets by precomputed strides, so the walk allocates nothing per
+/// run or entry. This is the single data-movement primitive behind
+/// [`copy_block`], [`append_block`] and the distributed gather, scatter,
+/// slab extraction and redistribution.
+///
+/// # Panics
+/// Panics if the argument orders differ or the block overruns either
+/// buffer's shape.
+pub fn for_each_run(
+    src_dims: &[usize],
+    src_off: &[usize],
+    dst_dims: &[usize],
+    dst_off: &[usize],
+    extents: &[usize],
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    let d = extents.len();
+    assert!(
+        d >= 1
+            && [src_dims, src_off, dst_dims, dst_off]
+                .iter()
+                .all(|v| v.len() == d),
+        "block order mismatch"
+    );
+    for k in 0..d {
+        assert!(
+            src_off[k] + extents[k] <= src_dims[k] && dst_off[k] + extents[k] <= dst_dims[k],
+            "block overruns mode {k}: extent {} at {}/{} into {}/{}",
+            extents[k],
+            src_off[k],
+            dst_off[k],
+            src_dims[k],
+            dst_dims[k]
+        );
+    }
+    if extents.contains(&0) {
+        return;
+    }
+    // Modes 0..=m form one run: every mode before m is spanned in full
+    // by both buffers (so its offsets are zero).
+    let m = (0..d - 1)
+        .find(|&k| extents[k] != src_dims[k] || extents[k] != dst_dims[k])
+        .unwrap_or(d - 1);
+    let run: usize = extents[..=m].iter().product();
+    let mut src_stride = vec![0usize; d];
+    let mut dst_stride = vec![0usize; d];
+    let (mut s, mut t) = (0, 0);
+    let (mut ss, mut ts) = (1, 1);
+    for k in 0..d {
+        src_stride[k] = ss;
+        dst_stride[k] = ts;
+        s += src_off[k] * ss;
+        t += dst_off[k] * ts;
+        ss *= src_dims[k];
+        ts *= dst_dims[k];
+    }
+    let mut idx = vec![0usize; d];
+    loop {
+        f(s, t, run);
+        let mut k = m + 1;
+        loop {
+            if k == d {
+                return;
+            }
+            idx[k] += 1;
+            s += src_stride[k];
+            t += dst_stride[k];
+            if idx[k] < extents[k] {
+                break;
+            }
+            s -= src_stride[k] * extents[k];
+            t -= dst_stride[k] * extents[k];
+            idx[k] = 0;
+            k += 1;
+        }
+    }
+}
+
+/// Copies the hyper-rectangle of `extents` at `src_off` in the
+/// column-major buffer `src` (shape `src_dims`) to `dst_off` in `dst`
+/// (shape `dst_dims`), one contiguous run at a time
+/// (see [`for_each_run`]).
+pub fn copy_block<T: Copy>(
+    src: &[T],
+    src_dims: &[usize],
+    src_off: &[usize],
+    dst: &mut [T],
+    dst_dims: &[usize],
+    dst_off: &[usize],
+    extents: &[usize],
+) {
+    for_each_run(
+        src_dims,
+        src_off,
+        dst_dims,
+        dst_off,
+        extents,
+        |s, t, len| {
+            dst[t..t + len].copy_from_slice(&src[s..s + len]);
+        },
+    );
+}
+
+/// Appends the hyper-rectangle of `extents` at `src_off` in the
+/// column-major buffer `src` (shape `src_dims`) to `out`, in the block's
+/// own layout order — building a fresh block without first zero-filling
+/// it.
+pub fn append_block<T: Copy>(
+    src: &[T],
+    src_dims: &[usize],
+    src_off: &[usize],
+    extents: &[usize],
+    out: &mut Vec<T>,
+) {
+    out.reserve(extents.iter().product());
+    let zeros = vec![0; extents.len()];
+    for_each_run(src_dims, src_off, extents, &zeros, extents, |s, _, len| {
+        out.extend_from_slice(&src[s..s + len]);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn runs_merge_across_fully_spanned_leading_modes() {
+        let mut runs = Vec::new();
+        for_each_run(
+            &[4, 3, 2],
+            &[0, 0, 0],
+            &[4, 3, 2],
+            &[0, 0, 0],
+            &[4, 3, 2],
+            |s, t, n| runs.push((s, t, n)),
+        );
+        assert_eq!(runs, vec![(0, 0, 24)]);
+        runs.clear();
+        // Full in mode 0 of both, partial in mode 1: one run per mode-2
+        // index, each spanning modes 0 and 1.
+        for_each_run(
+            &[4, 3, 2],
+            &[0, 1, 0],
+            &[4, 2, 2],
+            &[0, 0, 0],
+            &[4, 2, 2],
+            |s, t, n| runs.push((s, t, n)),
+        );
+        assert_eq!(runs, vec![(4, 0, 8), (16, 8, 8)]);
+        runs.clear();
+        // Partial in mode 0: plain mode-0 columns.
+        for_each_run(&[4, 3], &[1, 1], &[2, 2], &[0, 0], &[2, 2], |s, t, n| {
+            runs.push((s, t, n))
+        });
+        assert_eq!(runs, vec![(5, 0, 2), (9, 2, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns mode 1")]
+    fn copy_block_rejects_an_overrun() {
+        let src = [0.0f64; 12];
+        let mut dst = [0.0f64; 12];
+        copy_block(&src, &[4, 3], &[0, 2], &mut dst, &[4, 3], &[0, 0], &[4, 2]);
+    }
 
     #[test]
     fn buffers_are_ledger_charged_for_their_lifetime() {

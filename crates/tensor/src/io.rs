@@ -214,32 +214,25 @@ pub fn read_block_raw<T: IoScalar>(
 ) -> io::Result<DenseTensor<T>> {
     assert_eq!(offsets.len(), global.order());
     assert_eq!(lens.len(), global.order());
-    for k in 0..global.order() {
-        assert!(
-            offsets[k] + lens[k] <= global.dim(k),
-            "block exceeds mode {k}"
-        );
-    }
     let es = T::ELEM.size();
     let mut f = File::open(path)?;
     let local_shape = Shape::new(lens);
-    let run = lens[0];
     let mut out: Vec<T> = Vec::with_capacity(local_shape.num_entries());
-    let mut buf = vec![0u8; run * es];
-    // Iterate over all non-mode-0 local indices; each is one contiguous
-    // run of `lens[0]` elements in the file.
-    let outer_shape = Shape::new(&lens[1..].iter().map(|&l| l.max(1)).collect::<Vec<_>>());
-    let mut gidx = vec![0usize; global.order()];
-    for outer in outer_shape.indices() {
-        gidx[0] = offsets[0];
-        for (k, &i) in outer.iter().enumerate() {
-            gidx[k + 1] = offsets[k + 1] + i;
+    let mut buf = Vec::new();
+    // One seek and read per contiguous run of the block in the file.
+    let mut status = Ok(());
+    let zeros = vec![0; lens.len()];
+    crate::dense::for_each_run(global.dims(), offsets, lens, &zeros, lens, |s, _, len| {
+        if status.is_ok() {
+            buf.resize(len * es, 0u8);
+            status = f
+                .seek(SeekFrom::Start((s * es) as u64))
+                .and_then(|_| f.read_exact(&mut buf))
+                .and_then(|()| decode_elems::<T>(&buf))
+                .map(|run| out.extend(run));
         }
-        let pos = global.linear_index(&gidx) * es;
-        f.seek(SeekFrom::Start(pos as u64))?;
-        f.read_exact(&mut buf)?;
-        out.extend(decode_elems::<T>(&buf)?);
-    }
+    });
+    status?;
     Ok(DenseTensor::from_vec(local_shape, out))
 }
 

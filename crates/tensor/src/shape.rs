@@ -117,6 +117,28 @@ impl Shape {
         col
     }
 
+    /// Calls `f` on every multi-index in layout (mode-0-fastest) order,
+    /// like [`Shape::indices`] but advancing one index buffer in place
+    /// instead of allocating a `Vec` per entry.
+    pub fn for_each_index(&self, mut f: impl FnMut(&[usize])) {
+        let mut idx = vec![0usize; self.order()];
+        loop {
+            f(&idx);
+            let mut k = 0;
+            loop {
+                if k == idx.len() {
+                    return;
+                }
+                idx[k] += 1;
+                if idx[k] < self.0[k] {
+                    break;
+                }
+                idx[k] = 0;
+                k += 1;
+            }
+        }
+    }
+
     /// Iterator over all multi-indices in layout (mode-0-fastest) order.
     pub fn indices(&self) -> IndexIter {
         IndexIter {

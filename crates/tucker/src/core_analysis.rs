@@ -46,12 +46,13 @@ pub fn analyze_core<T: Scalar>(
     // Every index of the prefix tensor is a candidate rank vector
     // r_j = idx_j + 1; feasibility and cost are O(d) reads each.
     let mut ranks = vec![0usize; core.order()];
-    for idx in core.shape().indices() {
-        let kept = prefix.get(&idx);
+    let mut kept_at = prefix.data().iter();
+    core.shape().for_each_index(|idx| {
+        let kept = *kept_at.next().expect("prefix tensor has the core's shape");
         if kept < target {
-            continue;
+            return;
         }
-        for (r, &i) in ranks.iter_mut().zip(&idx) {
+        for (r, &i) in ranks.iter_mut().zip(idx) {
             *r = i + 1;
         }
         let storage = tucker_storage(&ranks, outer_dims);
@@ -66,7 +67,7 @@ pub fn analyze_core<T: Scalar>(
                 kept_norm_sq: kept,
             });
         }
-    }
+    });
     best
 }
 

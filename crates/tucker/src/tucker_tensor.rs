@@ -118,10 +118,10 @@ impl<T: Scalar> TuckerTensor<T> {
     pub fn extract_hyperslab(&self, offsets: &[usize], lens: &[usize]) -> DenseTensor<T> {
         assert_eq!(offsets.len(), self.order());
         assert_eq!(lens.len(), self.order());
-        let mut cur = self.core.clone();
-        for (k, u) in self.factors.iter().enumerate() {
-            let rows = u.row_slice(offsets[k], lens[k]);
-            cur = ttm(&cur, k, &rows, Transpose::No);
+        let slice = |k: usize| self.factors[k].row_slice(offsets[k], lens[k]);
+        let mut cur = ttm(&self.core, 0, &slice(0), Transpose::No);
+        for k in 1..self.order() {
+            cur = ttm(&cur, k, &slice(k), Transpose::No);
         }
         cur
     }

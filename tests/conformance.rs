@@ -92,6 +92,46 @@ fn assert_invariants(x: &DenseTensor<f64>, t: &TuckerTensor<f64>, reported: f64,
 }
 
 #[test]
+fn scatter_then_gather_is_bitwise_identity_on_every_grid() {
+    // Every conformance grid plus grids that leave mode 0 (or all but
+    // the last mode) whole, where the run copies merge leading modes.
+    for case in cases() {
+        let x = SyntheticSpec::new(&case.dims, &case.ranks, 0.02, case.seed).build::<f64>();
+        let mut grids = case.grids.clone();
+        let d = case.dims.len();
+        let mut last_split = vec![1; d];
+        last_split[d - 1] = 2;
+        let mut trailing_split = vec![2; d];
+        trailing_split[0] = 1;
+        grids.extend([last_split, trailing_split]);
+        for gd in grids {
+            let p: usize = gd.iter().product();
+            let xg = x.clone();
+            let g2 = gd.clone();
+            let out = Universe::launch(p, move |c| {
+                let grid = CartGrid::new(c, &g2);
+                let xd = DistTensor::scatter_from_replicated(&grid, &xg);
+                let per_entry = DistTensor::from_fn(&grid, xg.shape().clone(), |idx| xg.get(idx));
+                let block_ok = bits(xd.local().data()) == bits(per_entry.local().data());
+                (block_ok, xd.try_gather_replicated(&grid).expect("gather"))
+            });
+            for (rank, (block_ok, back)) in out.iter().enumerate() {
+                assert!(block_ok, "grid {gd:?} rank {rank}: scattered block differs");
+                assert_eq!(back.shape(), x.shape(), "grid {gd:?}");
+                assert!(
+                    bits(back.data()) == bits(x.data()),
+                    "grid {gd:?} rank {rank}: gather(scatter(x)) != x bitwise"
+                );
+            }
+        }
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
 fn sthosvd_conforms_to_the_sequential_oracle_on_every_grid() {
     for case in cases() {
         let x = SyntheticSpec::new(&case.dims, &case.ranks, 0.02, case.seed).build::<f64>();
