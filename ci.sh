@@ -22,7 +22,7 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 echo "==> verify: differential oracles + invariant checkers"
 cargo test -q --offline -p ratucker-verify
 
-echo "==> verify: 25-schedule exploration incl. crash-recovery, straggler demotion, budget pressure, pipelined overlap (fixed seeds)"
+echo "==> verify: 25-schedule exploration incl. crash-recovery, straggler demotion, budget pressure, slabbed TTM/SI (fixed seeds)"
 cargo test -q --offline -p ratucker-verify --test explore -- \
   p4_recovery_converges_to_identical_state_under_25_schedules \
   p4_straggler_demotion_converges_to_identical_state_under_25_schedules \
@@ -46,11 +46,13 @@ if [ "$PAR_ELAPSED" -ge 60 ]; then
   exit 1
 fi
 
-echo "==> overlap smoke (pipelined vs blocking TTM/SI bitwise + mid-pipeline drain; 60 s guard)"
+echo "==> overlap smoke (slab counts bitwise invisible, collective fold order, mid-pipeline drain; 60 s guard)"
 OVL_T0=$SECONDS
+cargo test -q --offline -p ratucker-dist --lib -- slab_count_is_bitwise_invisible
+cargo test -q --offline -p ratucker-mpi --lib -- \
+  collectives_match_their_documented_sequential_fold_bitwise \
+  stray_message_before_allreduce_is_a_size_mismatch
 cargo test -q --offline --test conformance -- \
-  overlap_on_is_bitwise_identical_to_blocking_on_every_grid \
-  p4_pipelined_hooi_matches_blocking_smoke \
   straggler_demotion_drains_inflight_pipeline_cleanly
 cargo test -q --offline --test overlap_prop
 OVL_ELAPSED=$((SECONDS - OVL_T0))

@@ -56,69 +56,5 @@ fn bench_error_specified(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_ttm_overlap(c: &mut Criterion) {
-    use rand::SeedableRng;
-    use ratucker_dist::{set_overlap, DistTensor, OverlapMode};
-    use ratucker_mpi::{CartGrid, SchedulePolicy, Universe};
-    use ratucker_tensor::matrix::Matrix;
-    use ratucker_tensor::random::normal_matrix;
-    use ratucker_tensor::ttm::Transpose;
-
-    // P = 4 along mode 1: the TTM reduce-scatters over a 4-rank fiber,
-    // the shape where `Overlap on` pipelines slab GEMMs behind the ring.
-    let dims = [64usize, 64, 64];
-    let r = 32;
-    let x = SyntheticSpec::new(&dims, &[8; 3], 1e-4, 41).build::<f32>();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-    let m: Matrix<f32> = normal_matrix(dims[1], r, &mut rng);
-    let grid_dims = [1usize, 4, 1];
-    let u = Universe::new(4);
-
-    // Two fabric conditions: an unperturbed schedule (`Os`), and the
-    // deterministic jitter schedule (`SeededRandom`) whose hash-derived
-    // micro-delays model per-operation network latency. Overlap's win
-    // lives in the jitter series: the pipelined path has the next
-    // slab's GEMM queued behind every delayed fabric op, while the
-    // blocking ring serializes the same delays into rendezvous stalls.
-    for (cond, policy) in [
-        ("", SchedulePolicy::Os),
-        ("_jitter", SchedulePolicy::SeededRandom { seed: 17 }),
-    ] {
-        let mut g = c.benchmark_group(format!("ttm_overlap_p4_64_r32{cond}"));
-        g.measurement_time(Duration::from_secs(4)).sample_size(10);
-        for (label, mode) in [
-            ("blocking", OverlapMode::Off),
-            ("pipelined", OverlapMode::On),
-        ] {
-            g.bench_function(label, |b| {
-                u.set_schedule_policy(policy);
-                b.iter(|| {
-                    let out = u.run(|comm| {
-                        set_overlap(mode);
-                        let grid = CartGrid::new(comm, &grid_dims);
-                        let xd = DistTensor::scatter_from_replicated(&grid, &x);
-                        // Several TTMs per universe run so the kernel under
-                        // test dominates the scatter and thread-spawn cost.
-                        let mut acc = 0.0f32;
-                        for _ in 0..6 {
-                            let y = ratucker_dist::dist_ttm(&grid, &xd, 1, &m, Transpose::Yes);
-                            acc += y.local().data()[0];
-                        }
-                        acc
-                    });
-                    black_box(out[0])
-                })
-            });
-        }
-        g.finish();
-        u.set_schedule_policy(SchedulePolicy::Os);
-    }
-}
-
-criterion_group!(
-    benches,
-    bench_rank_specified,
-    bench_error_specified,
-    bench_ttm_overlap
-);
+criterion_group!(benches, bench_rank_specified, bench_error_specified);
 criterion_main!(benches);

@@ -34,7 +34,6 @@
 //! | `Deadline profile` + | `off` / `strict` / `lenient` per-collective deadlines (also `--deadline-profile <name>`) | `off` |
 //! | `Retry` + | max retransmissions per p2p op, with exponential backoff (also `--retry <n>`) | `0` |
 //! | `Straggler demotion` + | demote a rank whose induced wait exceeds this multiple of the median (also `--straggler-demotion <x>`) | off |
-//! | `Overlap` + | `on` / `off` comm/compute pipelining in the distributed TTM/SI kernels (also `--overlap <mode>`); results are bit-identical either way | `on` |
 //! | `Mem budget` + | per-rank memory budget in bytes, `K`/`M`/`G` suffixes accepted (also `--mem-budget <size>`); the run is admitted through the perf-model peak estimate, possibly at a degraded rung, or refused up front | none |
 //! | `Threads` + | intra-rank kernel worker threads (also `--threads <n>`, `RATUCKER_THREADS` env); results are bit-identical at any setting | `1` |
 //! | `Trace out` + | write a merged Chrome trace JSON here (also `--trace-out <path>`) | none |
@@ -57,7 +56,7 @@ use ratucker::dist::{
 use ratucker::prelude::*;
 use ratucker::{dist_ra_hooi_resilient, ResilienceConfig, ResilientOutcome};
 use ratucker::{Timings, ALL_PHASES};
-use ratucker_dist::{AbftMode, DistTensor, OverlapMode};
+use ratucker_dist::{AbftMode, DistTensor};
 use ratucker_mpi::{CartGrid, DeadlinePolicy, RetryPolicy, Universe};
 use ratucker_obs::StragglerPolicy;
 use ratucker_perfmodel::{admit, Admission, MemProblem};
@@ -274,21 +273,6 @@ pub fn retry_policy(params: &Params) -> Result<Option<RetryPolicy>, ParamError> 
     Ok((n > 0).then(|| RetryPolicy::new(n.min(u32::MAX as usize) as u32)))
 }
 
-/// Parses the `Overlap` key (`on` / `off`): whether the distributed
-/// TTM/SI kernels pipeline their collectives behind the next slab's
-/// local compute. The pipelined and blocking paths are bit-identical
-/// (DESIGN.md §17), so this is a pure wall-clock knob; default `on`.
-pub fn overlap_mode(params: &Params) -> Result<OverlapMode, ParamError> {
-    match params.get("Overlap") {
-        None => Ok(OverlapMode::On),
-        Some(s) => OverlapMode::parse(s).ok_or_else(|| ParamError::Invalid {
-            key: "Overlap".into(),
-            value: s.into(),
-            expected: "on or off",
-        }),
-    }
-}
-
 /// The grid dims (default: all ones over the tensor order).
 pub fn grid_dims(params: &Params) -> Result<Vec<usize>, ParamError> {
     let dims = params.usize_list("Global dims")?;
@@ -352,7 +336,6 @@ pub fn run_sthosvd_driver<T: IoScalar>(
         deadline_policy(params)?,
         retry_policy(params)?,
         None,
-        overlap_mode(params)?,
         move |g, xd| dist_sthosvd(g, xd, &trunc),
     );
     if let Some(prefix) = params.get("Output prefix") {
@@ -411,7 +394,6 @@ pub fn run_hooi_driver<T: IoScalar>(
     install_threads(threads(params)?);
     let deadline = deadline_policy(params)?;
     let retry = retry_policy(params)?;
-    let overlap = overlap_mode(params)?;
     // Memory-budget admission (perfmodel peak projection): the run is
     // either admitted at the cheapest degradation rung whose projected
     // per-rank peak fits, or refused here — before any rank thread
@@ -483,7 +465,6 @@ pub fn run_hooi_driver<T: IoScalar>(
             deadline,
             retry,
             mem,
-            overlap,
             move |g, xd| match (&resilience, &ckpt) {
                 (Some(res), _) => {
                     let out =
@@ -510,7 +491,6 @@ pub fn run_hooi_driver<T: IoScalar>(
             deadline,
             retry,
             mem,
-            overlap,
             move |g, xd| dist_hooi(g, xd, &ranks, &cfg),
         )
     };
@@ -530,9 +510,8 @@ pub fn run_hooi_driver<T: IoScalar>(
 /// written to that path together with a per-phase breakdown on stdout.
 ///
 /// The gray-failure knobs (`deadline` / `retry`) are installed on the
-/// universe's fabric before any rank starts, the memory budget and its
-/// admitted degradation rung (`mem`) on every rank's ledger, and the
-/// `overlap` mode on every rank thread (it is thread-local).
+/// universe's fabric before any rank starts, and the memory budget and
+/// its admitted degradation rung (`mem`) on every rank's ledger.
 #[allow(clippy::too_many_arguments)]
 fn run_collective<T: IoScalar>(
     p: usize,
@@ -542,7 +521,6 @@ fn run_collective<T: IoScalar>(
     deadline: Option<DeadlinePolicy>,
     retry: Option<RetryPolicy>,
     mem: Option<(u64, u8)>,
-    overlap: OverlapMode,
     run: impl Fn(&CartGrid, &DistTensor<T>) -> DistRunResult<T> + Sync,
 ) -> (DriverOutcome, TuckerTensor<T>) {
     let session = trace_out.map(|_| ratucker_obs::TraceSession::start());
@@ -556,7 +534,6 @@ fn run_collective<T: IoScalar>(
             .set_start_rung(start_rung);
     }
     let results = universe.run(|c| {
-        ratucker_dist::set_overlap(overlap);
         let grid = CartGrid::new(c, grid_dims);
         // Root span per rank: created *after* grid construction (which
         // consumes the Comm by value) so it borrows `grid.comm`.
@@ -607,7 +584,7 @@ pub fn params_from_argv(args: &[String]) -> Result<Params, Box<dyn std::error::E
         "usage: <driver> --parameter-file <file.cfg> [--checkpoint-dir <dir>] [--resume] \
              [--buddy-replication <k>] [--abft off|detect|recover] [--trace-out <trace.json>] \
              [--deadline-profile off|strict|lenient] [--retry <n>] [--straggler-demotion <x>] \
-             [--mem-budget <size>] [--threads <n>] [--overlap on|off]",
+             [--mem-budget <size>] [--threads <n>]",
     )?;
     let path = args
         .get(pos + 1)
@@ -670,12 +647,6 @@ pub fn params_from_argv(args: &[String]) -> Result<Params, Box<dyn std::error::E
             .ok_or("--threads requires a worker-count argument")?;
         params.set("Threads", n);
     }
-    if let Some(pos) = args.iter().position(|a| a == "--overlap") {
-        let mode = args
-            .get(pos + 1)
-            .ok_or("--overlap requires a mode argument (on, off)")?;
-        params.set("Overlap", mode);
-    }
     Ok(params)
 }
 
@@ -692,7 +663,9 @@ mod tests {
 
     #[test]
     fn sthosvd_driver_rank_specified() {
-        let p = sthosvd_cfg("");
+        // A key the CLI no longer reads (the retired `Overlap` knob)
+        // is ignored, so old parameter files keep working.
+        let p = sthosvd_cfg("Overlap = off\n");
         let out = run_sthosvd_driver::<f32>(&p).unwrap();
         assert_eq!(out.ranks, vec![3, 3, 2]);
         assert!(out.rel_error < 0.05, "err {}", out.rel_error);
@@ -936,50 +909,6 @@ mod tests {
         // No faults are injected: the resilient path is bit-identical.
         assert_eq!(resilient.rel_error, plain.rel_error);
         assert_eq!(resilient.ranks, plain.ranks);
-    }
-
-    #[test]
-    fn overlap_key_parses_and_flag_layers() {
-        // Absent key defaults on; explicit values parse; junk is typed.
-        assert_eq!(
-            overlap_mode(&Params::parse("").unwrap()).unwrap(),
-            OverlapMode::On
-        );
-        assert_eq!(
-            overlap_mode(&Params::parse("Overlap = off\n").unwrap()).unwrap(),
-            OverlapMode::Off
-        );
-        assert!(overlap_mode(&Params::parse("Overlap = maybe\n").unwrap()).is_err());
-
-        let dir = std::env::temp_dir();
-        let cfg = dir.join(format!(
-            "ratucker_cli_overlap_argv_{}.cfg",
-            std::process::id()
-        ));
-        std::fs::write(&cfg, "Global dims = 8 8\nRanks = 2 2\n").unwrap();
-        let args: Vec<String> = [
-            "driver",
-            "--parameter-file",
-            cfg.to_str().unwrap(),
-            "--overlap",
-            "off",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let p = params_from_argv(&args).unwrap();
-        assert_eq!(p.get("Overlap"), Some("off"));
-        std::fs::remove_file(&cfg).unwrap();
-    }
-
-    #[test]
-    fn overlap_off_driver_is_bit_identical_to_default() {
-        let on = run_sthosvd_driver::<f32>(&sthosvd_cfg("")).unwrap();
-        let off = run_sthosvd_driver::<f32>(&sthosvd_cfg("Overlap = off\n")).unwrap();
-        // The knob is pure wall-clock: same error bits, same ranks.
-        assert_eq!(on.rel_error.to_bits(), off.rel_error.to_bits());
-        assert_eq!(on.ranks, off.ranks);
-        assert_eq!(on.sweep_errors.len(), off.sweep_errors.len());
     }
 
     #[test]

@@ -6,12 +6,15 @@
 //! of the distribution this crate implements the three parallel kernels
 //! the Tucker algorithms need:
 //!
-//! - [`ops::dist_ttm`] — TTM with reduce-scatter along the mode fiber;
-//! - [`ops::dist_gram`] — unfolding Gram via fiber all-to-all
+//! - [`ops::try_dist_ttm`] — TTM with reduce-scatter along the mode fiber;
+//! - [`ops::try_dist_gram`] — unfolding Gram via fiber all-to-all
 //!   redistribution + local rank-k update + allreduce;
-//! - [`ops::dist_contract`] — the paper's new all-but-one contraction for
-//!   subspace iteration (§3.4), with sum-reduce + broadcast so each rank
-//!   runs the subsequent QR redundantly.
+//! - [`ops::try_dist_contract`] — the paper's new all-but-one contraction
+//!   for subspace iteration (§3.4), with sum-reduce + broadcast so each
+//!   rank runs the subsequent QR redundantly.
+//!
+//! Each kernel is fallible: lost messages, crashed peers, corrupted
+//! payloads and budget refusals surface as a typed `CommError`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,17 +22,14 @@
 pub mod distribution;
 pub mod dtensor;
 pub mod ops;
-pub mod overlap;
 pub mod redistribute;
 pub mod replica;
 
 pub use distribution::{block_len, block_offset, block_range, owner_of, BlockRange, TensorDist};
 pub use dtensor::DistTensor;
 pub use ops::{
-    dist_contract, dist_gram, dist_multi_ttm_all_but, dist_ttm, try_dist_contract, try_dist_gram,
-    try_dist_gram_checked, try_dist_multi_ttm_all_but, try_dist_ttm, try_dist_ttm_checked,
-    AbftMode,
+    try_dist_contract, try_dist_gram, try_dist_gram_checked, try_dist_multi_ttm_all_but,
+    try_dist_ttm, try_dist_ttm_checked, AbftMode,
 };
-pub use overlap::{overlap, set_overlap, OverlapMode};
 pub use redistribute::{try_redistribute, BlockPiece};
 pub use replica::{restorer_for, try_refresh_buddies, BuddyStore, Replica};

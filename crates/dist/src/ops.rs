@@ -5,14 +5,14 @@
 //! the paper adds (§3.4). Communication patterns follow the paper's cost
 //! analysis:
 //!
-//! - **TTM** (`dist_ttm`): local multiply against the owned row/column
+//! - **TTM** ([`try_dist_ttm`]): local multiply against the owned row/column
 //!   block of the (replicated) matrix, then a *reduce-scatter* along the
 //!   mode's fiber sub-communicator — cost `(local size)·(P_j − 1)` words,
 //!   the Table 2 TTM term.
-//! - **Gram** (`dist_gram`): *all-to-all* along the fiber to a 1D column
+//! - **Gram** ([`try_dist_gram`]): *all-to-all* along the fiber to a 1D column
 //!   layout (cost `(local size)·(P_j − 1)/P_j`), local rank-k update, then
 //!   an allreduce of the `n_j × n_j` result — the Table 2 LLSV terms.
-//! - **Contraction** (`dist_contract`): fully local against the matching
+//! - **Contraction** ([`try_dist_contract`]): fully local against the matching
 //!   block of the replicated core, then sum-reduction + broadcast of the
 //!   `n_j × r_j` iterate so every rank can run the QR redundantly — §3.4's
 //!   "sum reduction followed by a broadcast … local QR decompositions".
@@ -167,7 +167,7 @@ pub fn try_dist_ttm<T: Scalar>(
     m: &Matrix<T>,
     trans: Transpose,
 ) -> Result<DistTensor<T>, CommError> {
-    ttm_impl(grid, x, mode, m, trans, AbftMode::Off)
+    ttm_impl(grid, x, mode, m, trans, AbftMode::Off, TTM_SLABS)
 }
 
 /// Checksum-augmented variant of [`try_dist_ttm`]: when `abft` is
@@ -183,16 +183,20 @@ pub fn try_dist_ttm_checked<T: Scalar>(
     trans: Transpose,
     abft: AbftMode,
 ) -> Result<DistTensor<T>, CommError> {
-    ttm_impl(grid, x, mode, m, trans, abft)
+    ttm_impl(grid, x, mode, m, trans, abft, TTM_SLABS)
 }
 
-fn ttm_impl<T: Scalar>(
+/// The distributed TTM behind [`try_dist_ttm`] and
+/// [`try_dist_ttm_checked`], with the rung-0 slab count capped at
+/// `max_slabs` (tests pin it; the public kernels pass [`TTM_SLABS`]).
+pub(crate) fn ttm_impl<T: Scalar>(
     grid: &CartGrid,
     x: &DistTensor<T>,
     mode: usize,
     m: &Matrix<T>,
     trans: Transpose,
     abft: AbftMode,
+    max_slabs: usize,
 ) -> Result<DistTensor<T>, CommError> {
     let _span = ratucker_obs::span_mode(&grid.comm, "TTM", mode);
     let _mem = mem::with_phase(MemPhase::Ttm);
@@ -254,87 +258,17 @@ fn ttm_impl<T: Scalar>(
         return Ok(DistTensor::from_parts(out_dist, coords, partial));
     }
 
-    // Slab count for the pipelined path: enough slabs to overlap, few
-    // enough that per-slab GEMMs stay well above kernel overheads.
-    let n_slabs = right.min(2);
-    let pipelined = crate::overlap::overlap().is_on() && mem::rung() == 0 && n_slabs >= 2;
-    let mut local_rel = 0.0f64;
-    let my_block = if pipelined {
-        let (block, rel) = ttm_pipelined(
-            grid, x, mode, &m_sub, trans, abft, out_dim, left, right, n_slabs, fiber,
-        )?;
-        local_rel = rel;
-        block
+    let shape = TtmShape {
+        left,
+        out_dim,
+        right,
+        p_j,
+        abft: abft.is_enabled(),
+    };
+    let (my_block, mut local_rel) = if mem::rung() >= 1 {
+        ttm_reduce_per_chunk(grid, fiber, x, mode, &m_sub, trans, &shape)?
     } else {
-        // Local partial product: full `out_dim` in the contracted mode.
-        let partial = ttm(x.local(), mode, &m_sub, trans);
-        // Pack the partial into P_j contiguous chunks along the output
-        // mode (chunk q = the block of `out_dim` owned by fiber rank q),
-        // each chunk in standard [left, block, right] layout.
-        let pack_chunk = |packed: &mut Vec<T>, q: usize| {
-            let r_q = block_range(out_dim, p_j, q);
-            let chunk_start = packed.len();
-            for r in 0..right {
-                for i in 0..r_q.len {
-                    let src = (r * out_dim + r_q.offset + i) * left;
-                    packed.extend_from_slice(&partial.data()[src..src + left]);
-                }
-            }
-            if abft.is_enabled() {
-                // Linear chunk total: summed elementwise across the fiber
-                // along with the data, so at the destination the last slot
-                // holds the expected total of the reduced block.
-                let cs = T::from_f64(sum_f64(&packed[chunk_start..]));
-                packed.push(cs);
-            }
-        };
-        let mut blk = if mem::rung() >= 1 {
-            // Degradation rung ≥ 1: per-chunk reductions instead of one
-            // monolithic reduce-scatter. Peak staging drops from the full
-            // packed partial (≈ the local block size) to a single 1/P_j
-            // chunk, at the cost of P_j collectives. Every fiber member
-            // iterates the roots in the same order, so the pattern is as
-            // deterministic as the reduce-scatter it replaces. (This is
-            // also why rung ≥ 1 never pipelines: the lean path trades
-            // overlap for minimum staging memory.)
-            let mut mine: Option<Vec<T>> = None;
-            for q in 0..p_j {
-                let r_q = block_range(out_dim, p_j, q);
-                let cap = left * r_q.len * right + usize::from(abft.is_enabled());
-                let mut chunk = mem::TrackedBuf::try_with_capacity(cap)
-                    .map_err(|e| budget_error(&grid.comm, e))?;
-                pack_chunk(&mut chunk, q);
-                let reduced = fiber.try_reduce(q, chunk.into_vec(), sum_op)?;
-                if fiber.rank() == q {
-                    mine = reduced;
-                }
-            }
-            mine.expect("fiber rank received its reduced chunk")
-        } else {
-            let cap = partial.num_entries() + p_j;
-            let mut packed =
-                mem::TrackedBuf::try_with_capacity(cap).map_err(|e| budget_error(&grid.comm, e))?;
-            let mut counts = Vec::with_capacity(p_j);
-            for q in 0..p_j {
-                pack_chunk(&mut packed, q);
-                let r_q = block_range(out_dim, p_j, q);
-                counts.push(left * r_q.len * right + usize::from(abft.is_enabled()));
-            }
-            fiber.try_reduce_scatter(packed.into_vec(), &counts, sum_op)?
-        };
-        if abft.is_enabled() {
-            let cs = blk
-                .pop()
-                .expect("checked reduce-scatter block carries a checksum")
-                .to_f64();
-            local_rel = if blk.iter().any(|v| !v.is_finite_s()) {
-                f64::INFINITY
-            } else {
-                let s = sum_f64(&blk);
-                (s - cs).abs() / (abs_sum_f64(&blk) + cs.abs() + f64::MIN_POSITIVE)
-            };
-        }
-        blk
+        ttm_slabbed(grid, fiber, x, mode, &m_sub, trans, &shape, max_slabs)?
     };
     if abft.is_enabled() {
         // Fold the non-finite screen into the checksum error (NaN/Inf ⇒
@@ -358,161 +292,226 @@ fn ttm_impl<T: Scalar>(
     Ok(DistTensor::from_parts(out_dist, coords, local))
 }
 
-/// The rung-0 pipelined TTM backend (`Overlap on`, DESIGN.md §17): the
-/// local partial product is computed and reduce-scattered in `n_slabs`
-/// right-slabs, slab `s`'s collective in flight while slab `s+1`'s GEMM
-/// and packing run on this rank. `ireduce_scatter` posts all of a
-/// slab's contribution sends eagerly, so the traffic genuinely moves
-/// during the next slab's compute; at most one collective is ever in
-/// flight per fiber (the links are tagless FIFOs), waited before the
-/// next slab posts.
+/// Extents of a distributed TTM's local partial product, laid out
+/// `[left, out_dim, right]`, and of the fiber that reduces it.
+struct TtmShape {
+    left: usize,
+    out_dim: usize,
+    right: usize,
+    p_j: usize,
+    /// Whether each chunk carries a linear ABFT total.
+    abft: bool,
+}
+
+impl TtmShape {
+    /// Appends fiber rank `q`'s chunk of a partial product covering
+    /// `cols` right-slabs (`[left, out_dim, cols]`) to `dst`, in
+    /// `[left, block, cols]` layout, followed by the chunk's linear
+    /// total when checked. The total is summed elementwise across the
+    /// fiber along with the data, so at the owner the last slot holds
+    /// the expected total of the reduced chunk.
+    fn pack_chunk<T: Scalar>(&self, dst: &mut Vec<T>, partial: &[T], cols: usize, q: usize) {
+        let r_q = block_range(self.out_dim, self.p_j, q);
+        let start = dst.len();
+        for r in 0..cols {
+            let src = (r * self.out_dim + r_q.offset) * self.left;
+            dst.extend_from_slice(&partial[src..src + r_q.len * self.left]);
+        }
+        if self.abft {
+            let cs = T::from_f64(sum_f64(&dst[start..]));
+            dst.push(cs);
+        }
+    }
+
+    /// Entries in fiber rank `q`'s packed chunk over `cols` right-slabs.
+    fn chunk_len(&self, q: usize, cols: usize) -> usize {
+        self.left * block_range(self.out_dim, self.p_j, q).len * cols + usize::from(self.abft)
+    }
+}
+
+/// Pops the linear total a reduced checked chunk carries and returns
+/// the chunk's relative checksum error (infinite if non-finite).
+fn pop_checksum_error<T: Scalar>(blk: &mut Vec<T>) -> f64 {
+    let cs = blk
+        .pop()
+        .expect("checked reduce-scatter chunk carries a checksum")
+        .to_f64();
+    if blk.iter().any(|v| !v.is_finite_s()) {
+        return f64::INFINITY;
+    }
+    let s = sum_f64(blk);
+    (s - cs).abs() / (abs_sum_f64(blk) + cs.abs() + f64::MIN_POSITIVE)
+}
+
+/// Pops the slab-sequence sentinel from a reduced slab payload. Every
+/// rank appends `tag` to its contribution, so the sum-reduce delivers
+/// `ranks · tag`. Slabbing splits one message into several, often of
+/// equal length, so a lost message could otherwise silently pair a
+/// wait with the neighbouring slab's same-typed, same-sized payload,
+/// which no type or length check notices. Returns the mismatch as text.
+fn pop_sentinel<T: Scalar>(
+    blk: &mut Vec<T>,
+    ranks: usize,
+    tag: usize,
+    slab: usize,
+) -> Result<(), String> {
+    let got = blk
+        .pop()
+        .expect("slab payload carries a sequence sentinel")
+        .to_f64();
+    let want = (ranks * tag) as f64;
+    if (got - want).abs() > 0.5 {
+        return Err(format!(
+            "sentinel {got} where slab {slab} expects {want}: \
+             a lost message desynchronized the channel"
+        ));
+    }
+    Ok(())
+}
+
+/// Right-slab count of the rung-0 distributed TTM (DESIGN.md §17): slab
+/// 0's reduce-scatter travels while slab 1's GEMM runs, and each slab's
+/// GEMM stays well above kernel overheads.
+const TTM_SLABS: usize = 2;
+
+/// The rung-0 distributed TTM (DESIGN.md §17): the local partial
+/// product is computed and reduce-scattered in `n = min(right,
+/// max_slabs)` right-slabs, slab `s`'s reduce-scatter in flight while
+/// slab `s+1`'s GEMM and packing run. At most one collective is in
+/// flight per fiber (the links are tagless FIFOs): slab `s−1` is waited
+/// before slab `s` posts. Returns this rank's reduced block and its
+/// ABFT relative checksum error (the max over slabs).
 ///
-/// Bit-identity with the blocking path: a right-slab of the local block
-/// is contiguous, its GEMM is the right-slab restriction of the blocking
-/// GEMM (bit-equal per the §16 kernel contract), the split-phase
-/// reduce-scatter reproduces the blocking ring's exact elementwise
-/// accumulation order (fixed by rank arithmetic alone), and slabs are
-/// waited and appended in ascending order — exactly the blocking
-/// `[left, block, right]` layout.
+/// The result is bitwise independent of the slab count: a right-slab
+/// of the local block is contiguous, `ttm_right_range` is bit-equal to
+/// the matching run of the full GEMM (§16 kernel contract), the
+/// reduce-scatter's combine order is fixed by rank arithmetic alone,
+/// and slabs are appended in ascending order, which is the
+/// `[left, block, right]` layout. With one slab the wire carries
+/// exactly one reduce-scatter of the whole packed partial, no
+/// sentinel.
 #[allow(clippy::too_many_arguments)]
-fn ttm_pipelined<T: Scalar>(
+fn ttm_slabbed<T: Scalar>(
     grid: &CartGrid,
+    fiber: &Comm,
     x: &DistTensor<T>,
     mode: usize,
     m_sub: &Matrix<T>,
     trans: Transpose,
-    abft: AbftMode,
-    out_dim: usize,
-    left: usize,
-    right: usize,
-    n_slabs: usize,
-    fiber: &Comm,
+    shape: &TtmShape,
+    max_slabs: usize,
 ) -> Result<(Vec<T>, f64), CommError> {
-    let p_j = fiber.size();
-    let my_len = block_range(out_dim, p_j, fiber.rank()).len;
-
-    // Staging charge: the *blocking envelope* — the full packed partial
-    // plus the collective's resident copy — even though the pipeline's
-    // real allocations are per-slab and smaller. The §14 admission
-    // estimate and the degradation-ladder pressure points are
-    // calibrated against the blocking staging trajectory; charging the
-    // same envelope keeps a budgeted run refusing (and the ladder
-    // engaging) at the same pressure whichever way the overlap knob is
-    // set. The perf win of the pipeline is deleted copies, not deleted
-    // accounting.
-    let stage_entries = left * out_dim * right + p_j;
-    let _stage = mem::Charge::try_new(mem::bytes_of::<T>(2 * stage_entries))
-        .map_err(|e| budget_error(&grid.comm, e))?;
-
-    let mut out: Vec<T> = Vec::with_capacity(left * my_len * right);
+    let &TtmShape {
+        left,
+        out_dim,
+        right,
+        p_j,
+        abft,
+    } = shape;
+    let n_slabs = right.min(max_slabs).max(1);
+    let tagged = n_slabs > 1;
+    let mut out: Vec<T> = Vec::new();
     let mut rel = 0.0f64;
-    // Per-slab checksums differ from the blocking path's single chunk
-    // checksum, but they guard the *same* reduced data (which is
-    // bit-identical); folding the per-slab relative errors by max keeps
-    // the verdict semantics.
-    //
-    // Each chunk additionally carries a slab-sequence *sentinel* as its
-    // last element (value `s + 1`; the sum-reduce turns it into
-    // `p_j * (s + 1)` at the owner). Slabbing splits what the blocking
-    // path sent as one message into several — often of *equal* length —
-    // so a dropped message could silently pair a receive with the
-    // neighboring slab's same-typed, same-sized payload, which no type
-    // or length check can notice. A sentinel mismatch must surface
-    // *symmetrically*: under ABFT it rides the kernel's collective
-    // checksum verdict as an infinite relative error (every rank agrees
-    // on the abort — a lone typed error here would strand peers mid
-    // collective); without ABFT there is no verdict round, so the
-    // mismatching rank revokes the fabric — peers fail fast with
-    // [`CommError::Revoked`] — and returns [`CommError::Corrupted`].
-    let absorb = |req: Request<Vec<T>>, s: usize, out: &mut Vec<T>, rel: &mut f64| {
+    let mut absorb = |req: Request<Vec<T>>, s: usize| -> Result<(), CommError> {
         let mut blk = req.wait()?;
-        let tag = blk
-            .pop()
-            .expect("pipelined reduce-scatter slab carries a sequence sentinel")
-            .to_f64();
-        let want_tag = (p_j * (s + 1)) as f64;
-        if (tag - want_tag).abs() > 0.5 {
-            if !abft.is_enabled() {
-                fiber.revoke();
-                return Err(CommError::Corrupted {
-                    rank: fiber.world_rank_of(fiber.rank()),
-                    what: format!(
-                        "pipelined reduce-scatter slab out of sequence \
-                         (sentinel {tag} where slab {s} expects {want_tag}): \
-                         a lost message desynchronized the fiber"
-                    ),
-                });
+        if tagged {
+            if let Err(what) = pop_sentinel(&mut blk, p_j, s + 1, s) {
+                // Under ABFT the mismatch rides the collective checksum
+                // verdict (every rank agrees on the abort); without it
+                // there is no verdict round, so revoke: peers fail fast
+                // with `Revoked` instead of stranding mid-collective.
+                if !abft {
+                    fiber.revoke();
+                    return Err(CommError::Corrupted {
+                        rank: fiber.world_rank_of(fiber.rank()),
+                        what: format!("TTM reduce-scatter slab out of sequence ({what})"),
+                    });
+                }
+                rel = f64::INFINITY;
             }
-            *rel = f64::INFINITY;
         }
-        if abft.is_enabled() {
-            let cs = blk
-                .pop()
-                .expect("checked reduce-scatter slab carries a checksum")
-                .to_f64();
-            let e = if blk.iter().any(|v| !v.is_finite_s()) {
-                f64::INFINITY
-            } else {
-                let s = sum_f64(&blk);
-                (s - cs).abs() / (abs_sum_f64(&blk) + cs.abs() + f64::MIN_POSITIVE)
-            };
-            *rel = rel.max(e);
+        if abft {
+            rel = rel.max(pop_checksum_error(&mut blk));
         }
-        out.extend_from_slice(&blk);
-        Ok::<(), CommError>(())
+        if s == 0 {
+            out = blk;
+        } else {
+            out.extend_from_slice(&blk);
+        }
+        Ok(())
     };
 
+    // Ledger: the whole partial product plus its packed copy
+    // (`2·partial + p_j` entries) at any slab count — the footprint the
+    // §14 admission estimate and the degradation ladder assume, so the
+    // slab count never changes when a budget bites.
+    let _stage = mem::Charge::try_new(mem::bytes_of::<T>(2 * left * out_dim * right + p_j))
+        .map_err(|e| budget_error(&grid.comm, e))?;
     let mut pending: Option<Request<Vec<T>>> = None;
     for s in 0..n_slabs {
         let rr = block_range(right, n_slabs, s);
-        // `ttm_right_range` computes exactly this right-slab of the
-        // blocking partial product, zero-copy on the input and bit-equal
-        // to the matching run of the full GEMM (§16 kernel contract).
-        let partial_s = ratucker_tensor::ttm_right_range(
+        let partial = ratucker_tensor::ttm_right_range(
             x.local(),
             mode,
             m_sub,
             trans,
             rr.offset..rr.offset + rr.len,
         );
-
-        // Pack this slab's P_j chunks directly as owned per-destination
-        // blocks, each in [left, block, right-slab] layout, with the
-        // linear ABFT chunk total appended when checked. The blocks are
-        // *moved* into the fabric by `ireduce_scatter_blocks` — unlike
-        // the blocking path, no contiguous staging buffer is ever built,
-        // which deletes one full copy of the partial product per slab.
-        let mut blocks: Vec<Vec<T>> = Vec::with_capacity(p_j);
-        for q in 0..p_j {
-            let r_q = block_range(out_dim, p_j, q);
-            let mut chunk: Vec<T> =
-                Vec::with_capacity(left * r_q.len * rr.len + 1 + usize::from(abft.is_enabled()));
-            for r in 0..rr.len {
-                for i in 0..r_q.len {
-                    let src = (r * out_dim + r_q.offset + i) * left;
-                    chunk.extend_from_slice(&partial_s[src..src + left]);
+        // Owned per-destination blocks, moved into the fabric: no
+        // contiguous staging buffer.
+        let blocks: Vec<Vec<T>> = (0..p_j)
+            .map(|q| {
+                let mut chunk = Vec::with_capacity(shape.chunk_len(q, rr.len) + 1);
+                shape.pack_chunk(&mut chunk, &partial, rr.len, q);
+                if tagged {
+                    chunk.push(T::from_f64((s + 1) as f64));
                 }
-            }
-            if abft.is_enabled() {
-                let cs = T::from_f64(sum_f64(&chunk));
-                chunk.push(cs);
-            }
-            chunk.push(T::from_f64((s + 1) as f64)); // slab-sequence sentinel
-            blocks.push(chunk);
-        }
-
-        // Overlap point: slab s−1's reduce-scatter has been in flight
-        // across the GEMM + pack above; drain it before posting slab s
-        // so only one collective ever occupies the fiber.
+                chunk
+            })
+            .collect();
         if let Some(req) = pending.take() {
-            absorb(req, s - 1, &mut out, &mut rel)?;
+            absorb(req, s - 1)?;
         }
         pending = Some(fiber.ireduce_scatter_blocks(blocks, sum_op));
     }
-    if let Some(req) = pending.take() {
-        absorb(req, n_slabs - 1, &mut out, &mut rel)?;
-    }
+    absorb(pending.expect("at least one slab"), n_slabs - 1)?;
     Ok((out, rel))
+}
+
+/// The degradation-rung ≥ 1 distributed TTM: one reduction per fiber
+/// rank's chunk instead of one reduce-scatter. Peak staging drops from
+/// the full packed partial (≈ the local block size) to a single `1/P_j`
+/// chunk, at the cost of `P_j` collectives. Every fiber member iterates
+/// the roots in the same order, so the pattern is as deterministic as
+/// the reduce-scatter it replaces. Returns this rank's reduced block and
+/// its ABFT relative checksum error.
+fn ttm_reduce_per_chunk<T: Scalar>(
+    grid: &CartGrid,
+    fiber: &Comm,
+    x: &DistTensor<T>,
+    mode: usize,
+    m_sub: &Matrix<T>,
+    trans: Transpose,
+    shape: &TtmShape,
+) -> Result<(Vec<T>, f64), CommError> {
+    let partial = ttm(x.local(), mode, m_sub, trans);
+    let mut mine: Option<Vec<T>> = None;
+    for q in 0..shape.p_j {
+        let mut chunk = mem::TrackedBuf::try_with_capacity(shape.chunk_len(q, shape.right))
+            .map_err(|e| budget_error(&grid.comm, e))?;
+        shape.pack_chunk(&mut chunk, partial.data(), shape.right, q);
+        let reduced = fiber.try_reduce(q, chunk.into_vec(), sum_op)?;
+        if fiber.rank() == q {
+            mine = reduced;
+        }
+    }
+    let mut blk = mine.expect("fiber rank received its reduced chunk");
+    let rel = if shape.abft {
+        pop_checksum_error(&mut blk)
+    } else {
+        0.0
+    };
+    Ok((blk, rel))
 }
 
 /// Fallible distributed multi-TTM with every factor transposed, skipping
@@ -728,14 +727,45 @@ fn gram_impl<T: Scalar>(
     Ok(Matrix::from_vec(n_j, n_j, summed[..n_j * n_j].to_vec()))
 }
 
+/// Column-slab count of the rung-0 SI contraction (DESIGN.md §17).
+const SI_SLABS: usize = 2;
+
+/// Slab-sequence sentinel base of the SI contraction, kept distinct
+/// from the TTM's `s + 1` tags so the two kernels' slabs can never
+/// masquerade as each other.
+const SI_TAG_BASE: usize = 16;
+
 /// Fallible distributed all-but-one contraction (the new §3.4 kernel):
 /// `Z = Y_(mode) G_(mode)ᵀ` with `core` the *replicated* current core
 /// tensor. Returns the replicated `n_mode × r_mode` iterate. Collective.
+///
+/// At degradation rung 0 with `P > 1` and `r_mode ≥ 2` the iterate is
+/// built in [`SI_SLABS`] column slabs, one allreduce in flight behind the
+/// next slab's local contraction; otherwise in one.
 pub fn try_dist_contract<T: Scalar>(
     grid: &CartGrid,
     y: &DistTensor<T>,
     core: &DenseTensor<T>,
     mode: usize,
+) -> Result<Matrix<T>, CommError> {
+    let slabbed = mem::rung() == 0 && grid.comm.size() > 1 && core.dim(mode) >= 2;
+    contract_impl(grid, y, core, mode, if slabbed { SI_SLABS } else { 1 })
+}
+
+/// The contraction behind [`try_dist_contract`] in `n_slabs` column
+/// slabs of the iterate (capped at `r_mode`). Each column's binomial
+/// combine is elementwise and fixed by rank arithmetic alone, so the
+/// result is bitwise independent of the slab count; ascending-slab
+/// concatenation of a column-major matrix is the one-slab layout
+/// verbatim. With more than one slab each payload carries a sequence
+/// sentinel; a mismatch revokes the communicator (no verdict round
+/// exists here) and surfaces as [`CommError::Corrupted`].
+pub(crate) fn contract_impl<T: Scalar>(
+    grid: &CartGrid,
+    y: &DistTensor<T>,
+    core: &DenseTensor<T>,
+    mode: usize,
+    n_slabs: usize,
 ) -> Result<Matrix<T>, CommError> {
     let _span = ratucker_obs::span_mode(&grid.comm, "SI", mode);
     let d = y.global_shape().order();
@@ -753,13 +783,10 @@ pub fn try_dist_contract<T: Scalar>(
     }
 
     // The core block matching this rank's non-mode ranges; each slab
-    // below narrows its mode-`mode` range.
+    // below narrows its mode-`mode` range. A column slab of the iterate
+    // only needs the matching mode-slab of the core.
     let (core_offsets, core_lens) = y.dist().block_of(y.coords());
     let my_rows = y.dist().range(mode, grid.coord(mode));
-    // A rank's local contraction for a *column slab* of the iterate only
-    // needs the matching mode-slab of the core, so the iterate can be
-    // built in column slabs — and slab s's allreduce overlapped with
-    // slab s+1's local contraction (`Overlap on`, DESIGN.md §17).
     let make_slab = |cr: crate::distribution::BlockRange| {
         let (mut offsets, mut lens) = (core_offsets.clone(), core_lens.clone());
         offsets[mode] = cr.offset;
@@ -778,125 +805,47 @@ pub fn try_dist_contract<T: Scalar>(
         z_full.into_vec()
     };
 
-    if crate::overlap::overlap().is_on() && mem::rung() == 0 && grid.comm.size() > 1 && r_j >= 2 {
-        // Two column slabs, one allreduce in flight at a time. Each
-        // column's binomial combine is elementwise and fixed by rank
-        // arithmetic alone, so per-slab allreduces are bit-identical to
-        // the monolithic one column by column; ascending-slab concat of
-        // a column-major matrix is the blocking layout verbatim.
-        const SI_SLABS: usize = 2;
-        // Slab-sequence sentinel base (kept distinct from the TTM
-        // pipeline's `s + 1` tags so the two kernels' slabs can never
-        // masquerade as each other): each slab's allreduce payload ends
-        // with `SI_TAG_BASE + s`, which the sum-reduce turns into
-        // `p * (SI_TAG_BASE + s)`. Column slabs of equal width produce
-        // equal-length payloads, so a dropped message could otherwise
-        // silently pair a wait with the neighboring slab's broadcast;
-        // the sentinel turns that swap into a typed error (see the TTM
-        // pipeline's matching check).
-        const SI_TAG_BASE: usize = 16;
-        let p = grid.comm.size();
-        let absorb = |req: Request<Vec<T>>, s: usize, out: &mut Vec<T>| {
-            let mut v = req.wait()?;
-            let tag = v
-                .pop()
-                .expect("pipelined SI slab carries a sequence sentinel")
-                .to_f64();
-            let want_tag = (p * (SI_TAG_BASE + s)) as f64;
-            if (tag - want_tag).abs() > 0.5 {
-                // No checksum-verdict round exists on this path, so the
-                // abort cannot ride a collective: revoke instead, so
-                // peers still blocked in the allreduce fail fast with
-                // `Revoked` rather than stranding on a dead collective.
+    let n_slabs = n_slabs.min(r_j).max(1);
+    let tagged = n_slabs > 1;
+    let p = grid.comm.size();
+    let mut out: Vec<T> = Vec::new();
+    let mut absorb = |req: Request<Vec<T>>, s: usize| -> Result<(), CommError> {
+        let mut v = req.wait()?;
+        if tagged {
+            if let Err(what) = pop_sentinel(&mut v, p, SI_TAG_BASE + s, s) {
                 grid.comm.revoke();
                 return Err(CommError::Corrupted {
                     rank: grid.comm.world_rank_of(grid.comm.rank()),
-                    what: format!(
-                        "pipelined SI slab out of sequence \
-                         (sentinel {tag} where slab {s} expects {want_tag}): \
-                         a lost message desynchronized the channel"
-                    ),
+                    what: format!("SI slab out of sequence ({what})"),
                 });
             }
+        }
+        if s == 0 {
+            out = v;
+        } else {
             out.extend_from_slice(&v);
-            Ok::<(), CommError>(())
-        };
-        let mut out: Vec<T> = Vec::with_capacity(n_j * r_j);
-        let mut pending: Option<Request<Vec<T>>> = None;
-        for s in 0..SI_SLABS {
-            let cr = block_range(r_j, SI_SLABS, s);
-            let mut embedded = make_slab(cr);
+        }
+        Ok(())
+    };
+    let mut pending: Option<Request<Vec<T>>> = None;
+    for s in 0..n_slabs {
+        let mut embedded = make_slab(block_range(r_j, n_slabs, s));
+        if tagged {
             embedded.push(T::from_f64((SI_TAG_BASE + s) as f64));
-            if let Some(req) = pending.take() {
-                absorb(req, s - 1, &mut out)?;
-            }
-            pending = Some(grid.comm.iallreduce(embedded, sum_op));
         }
         if let Some(req) = pending.take() {
-            absorb(req, SI_SLABS - 1, &mut out)?;
+            absorb(req, s - 1)?;
         }
-        return Ok(Matrix::from_vec(n_j, r_j, out));
+        pending = Some(grid.comm.iallreduce(embedded, sum_op));
     }
-
-    let embedded = make_slab(crate::distribution::BlockRange {
-        offset: 0,
-        len: r_j,
-    });
-    let summed = grid.comm.try_allreduce(embedded, sum_op)?;
-    Ok(Matrix::from_vec(n_j, r_j, summed))
-}
-
-// -------------------------------------------------------------------
-// Legacy panicking wrappers
-// -------------------------------------------------------------------
-
-/// Distributed TTM: `Y = X ×_mode op(M)` with `M` replicated on every rank.
-/// Panicking wrapper over [`try_dist_ttm`].
-pub fn dist_ttm<T: Scalar>(
-    grid: &CartGrid,
-    x: &DistTensor<T>,
-    mode: usize,
-    m: &Matrix<T>,
-    trans: Transpose,
-) -> DistTensor<T> {
-    try_dist_ttm(grid, x, mode, m, trans).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Distributed multi-TTM with every factor transposed, skipping
-/// `skip_mode` (Alg. 2 line 5), applying modes in increasing order.
-/// Panicking wrapper over [`try_dist_multi_ttm_all_but`].
-pub fn dist_multi_ttm_all_but<T: Scalar>(
-    grid: &CartGrid,
-    x: &DistTensor<T>,
-    factors: &[Matrix<T>],
-    skip_mode: usize,
-) -> DistTensor<T> {
-    try_dist_multi_ttm_all_but(grid, x, factors, skip_mode).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Distributed Gram of the mode-`mode` unfolding: returns the replicated
-/// `n_mode × n_mode` matrix `X_(mode) X_(mode)ᵀ` on every rank. Collective.
-/// Panicking wrapper over [`try_dist_gram`].
-pub fn dist_gram<T: Scalar>(grid: &CartGrid, x: &DistTensor<T>, mode: usize) -> Matrix<T> {
-    try_dist_gram(grid, x, mode).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Distributed all-but-one contraction (the new §3.4 kernel):
-/// `Z = Y_(mode) G_(mode)ᵀ` with `core` the *replicated* current core
-/// tensor. Returns the replicated `n_mode × r_mode` iterate. Collective.
-/// Panicking wrapper over [`try_dist_contract`].
-pub fn dist_contract<T: Scalar>(
-    grid: &CartGrid,
-    y: &DistTensor<T>,
-    core: &DenseTensor<T>,
-    mode: usize,
-) -> Matrix<T> {
-    try_dist_contract(grid, y, core, mode).unwrap_or_else(|e| panic!("{e}"))
+    absorb(pending.expect("at least one slab"), n_slabs - 1)?;
+    Ok(Matrix::from_vec(n_j, r_j, out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ratucker_mpi::Universe;
     use ratucker_tensor::shape::Shape;
 
@@ -934,7 +883,7 @@ mod tests {
                 let results = Universe::launch(p, move |c| {
                     let grid = CartGrid::new(c, &gd);
                     let x = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
-                    let y = dist_ttm(&grid, &x, mode, &uu, Transpose::Yes);
+                    let y = try_dist_ttm(&grid, &x, mode, &uu, Transpose::Yes).unwrap();
                     y.gather_replicated(&grid)
                 });
                 for got in results {
@@ -955,7 +904,7 @@ mod tests {
             let grid = CartGrid::new(c, &[2, 2]);
             let x = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
             let u = factor(6, 4, 9);
-            let y = dist_ttm(&grid, &x, 0, &u, Transpose::Yes);
+            let y = try_dist_ttm(&grid, &x, 0, &u, Transpose::Yes).unwrap();
             (
                 y.local().shape().dims().to_vec(),
                 y.gather_replicated(&grid),
@@ -979,7 +928,9 @@ mod tests {
         let results = Universe::launch(2, move |c| {
             let grid = CartGrid::new(c, &[1, 2]);
             let x = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
-            dist_ttm(&grid, &x, 1, &mm, Transpose::No).gather_replicated(&grid)
+            try_dist_ttm(&grid, &x, 1, &mm, Transpose::No)
+                .unwrap()
+                .gather_replicated(&grid)
         });
         for got in results {
             assert!(got.max_abs_diff(&want) < 1e-11);
@@ -997,7 +948,9 @@ mod tests {
             let results = Universe::launch(4, move |c| {
                 let grid = CartGrid::new(c, &[2, 1, 2]);
                 let x = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
-                dist_multi_ttm_all_but(&grid, &x, &fs, skip).gather_replicated(&grid)
+                try_dist_multi_ttm_all_but(&grid, &x, &fs, skip)
+                    .unwrap()
+                    .gather_replicated(&grid)
             });
             for got in results {
                 assert!(got.max_abs_diff(&want) < 1e-11, "skip {skip}");
@@ -1023,7 +976,7 @@ mod tests {
                 let results = Universe::launch(p, move |c| {
                     let grid = CartGrid::new(c, &gd);
                     let x = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
-                    dist_gram(&grid, &x, mode)
+                    try_dist_gram(&grid, &x, mode).unwrap()
                 });
                 for got in results {
                     assert!(
@@ -1222,13 +1175,73 @@ mod tests {
                 let results = Universe::launch(p, move |c| {
                     let grid = CartGrid::new(c, &gd);
                     let y = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
-                    dist_contract(&grid, &y, &core2, mode)
+                    try_dist_contract(&grid, &y, &core2, mode).unwrap()
                 });
                 for got in results {
                     assert!(
                         got.max_abs_diff(&want) < 1e-10,
                         "grid {grid_dims:?} mode {mode}"
                     );
+                }
+            }
+        }
+    }
+
+    fn bits_of(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One rank's bits of the rung-0 TTM at 1, 2 and 3 right-slabs (ABFT
+    /// off, then `Detect`) and of the SI contraction at 1 and 2 column
+    /// slabs, on a d-way problem whose mode 1 spans the whole grid.
+    fn slab_variants(c: Comm, d: usize, seed: u64) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+        let p = c.size();
+        let dims: Vec<usize> = if d == 3 {
+            vec![8, 12, 10]
+        } else {
+            vec![6, 12, 5, 4]
+        };
+        let mut grid_dims = vec![1; d];
+        grid_dims[1] = p;
+        let grid = CartGrid::new(c, &grid_dims);
+        let value = |idx: &[usize]| global_value(idx) + seed as f64 * 1e-3;
+        let x = DistTensor::from_fn(&grid, Shape::new(&dims), value);
+        let m = Matrix::from_fn(12, 8, |i, j| {
+            (((i * 8 + j) as f64) * 0.37 + seed as f64).sin()
+        });
+        let mut ttms = Vec::new();
+        for abft in [AbftMode::Off, AbftMode::Detect] {
+            for n_slabs in 1..=3 {
+                let y = ttm_impl(&grid, &x, 1, &m, Transpose::Yes, abft, n_slabs).unwrap();
+                ttms.push(bits_of(y.local().data()));
+            }
+        }
+        let mut core_dims = dims.clone();
+        core_dims[1] = 3;
+        let core = DenseTensor::from_fn(Shape::new(&core_dims), |idx| value(idx).cos());
+        let si = (1..=2)
+            .map(|n| bits_of(contract_impl(&grid, &x, &core, 1, n).unwrap().as_slice()))
+            .collect();
+        (ttms, si)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The slab count never shows in the results: every TTM variant
+        /// and both SI variants are bitwise equal, for d ∈ {3, 4} and
+        /// P ∈ {2, 4, 8}.
+        #[test]
+        fn slab_count_is_bitwise_invisible(seed in 0u64..1_000) {
+            for d in [3usize, 4] {
+                for p in [2usize, 4, 8] {
+                    let out = Universe::launch(p, move |c| slab_variants(c, d, seed));
+                    for (rank, (ttms, si)) in out.iter().enumerate() {
+                        for (k, t) in ttms.iter().enumerate() {
+                            prop_assert_eq!(t, &ttms[0], "TTM variant {} rank {} d={} P={}", k, rank, d, p);
+                        }
+                        prop_assert_eq!(&si[1], &si[0], "SI slabs rank {} d={} P={}", rank, d, p);
+                    }
                 }
             }
         }

@@ -2,7 +2,7 @@
 //! distributed kernels must agree with the sequential ones bitwise-close.
 
 use proptest::prelude::*;
-use ratucker_dist::{dist_contract, dist_gram, dist_ttm, DistTensor};
+use ratucker_dist::{try_dist_contract, try_dist_gram, try_dist_ttm, DistTensor};
 use ratucker_mpi::{CartGrid, Universe};
 use ratucker_tensor::dense::DenseTensor;
 use ratucker_tensor::matrix::Matrix;
@@ -57,7 +57,9 @@ proptest! {
         let out = Universe::launch(p, move |c| {
             let g = CartGrid::new(c, &grid2);
             let xd = DistTensor::from_fn(&g, Shape::new(&dims2), |idx| x_ref.get(idx));
-            dist_ttm(&g, &xd, mode, &u, Transpose::Yes).gather_replicated(&g)
+            try_dist_ttm(&g, &xd, mode, &u, Transpose::Yes)
+                .unwrap()
+                .gather_replicated(&g)
         });
         for got in out {
             prop_assert!(got.max_abs_diff(&want) < 1e-11);
@@ -80,7 +82,7 @@ proptest! {
         let out = Universe::launch(p, move |c| {
             let g = CartGrid::new(c, &grid2);
             let xd = DistTensor::from_fn(&g, Shape::new(&dims2), |idx| x_ref.get(idx));
-            dist_gram(&g, &xd, mode)
+            try_dist_gram(&g, &xd, mode).unwrap()
         });
         for got in out {
             prop_assert!(got.max_abs_diff(&want) < 1e-10);
@@ -107,7 +109,7 @@ proptest! {
         let out = Universe::launch(p, move |c| {
             let g = CartGrid::new(c, &grid2);
             let xd = DistTensor::from_fn(&g, Shape::new(&dims2), |idx| x_ref.get(idx));
-            dist_contract(&g, &xd, &core2, mode)
+            try_dist_contract(&g, &xd, &core2, mode).unwrap()
         });
         for got in out {
             prop_assert!(got.max_abs_diff(&want) < 1e-10);

@@ -10,7 +10,7 @@
 //! - broadcast / reduce — binomial trees;
 //! - allreduce — reduce + broadcast;
 //! - allgatherv — ring (bandwidth-optimal, `(p-1)/p · total` per link);
-//! - reduce-scatter — ring with accumulate;
+//! - reduce-scatter — pairwise exchange, every contribution sent at once;
 //! - all-to-all — direct pairwise exchange (channels are unbounded, so
 //!   posting all sends before any receive cannot deadlock).
 //!
@@ -21,6 +21,8 @@
 //! returning `Result<_, CommError>` (lost messages, crashed peers, and
 //! type mismatches surface as typed errors), and the legacy panicking
 //! form, a thin wrapper that panics with the error's display text.
+//! Allreduce and reduce-scatter are implemented once, in split-phase
+//! form ([`crate::request`]); their `try_*` forms post and wait at once.
 
 use crate::fabric::{CollectiveKind, Fabric, TrafficScope};
 use crate::fault::CommError;
@@ -251,15 +253,16 @@ impl Comm {
         Ok(Some(acc))
     }
 
-    /// Fallible allreduce = reduce to rank 0 + broadcast. Both legs are
-    /// charged to [`CollectiveKind::Allreduce`].
+    /// Fallible allreduce = reduce to rank 0 + broadcast, both legs
+    /// charged to [`CollectiveKind::Allreduce`]: [`Comm::iallreduce`]
+    /// completed at once (see there for the combine order and the
+    /// output-length check).
     pub fn try_allreduce<T: Elem>(
         &self,
         data: Vec<T>,
-        op: impl Fn(&mut [T], &[T]) + Copy,
+        op: impl Fn(&mut [T], &[T]) + Copy + Send + 'static,
     ) -> Result<Vec<T>, CommError> {
-        let reduced = self.reduce_k(0, data, op, CollectiveKind::Allreduce)?;
-        self.bcast_k(0, reduced.unwrap_or_default(), CollectiveKind::Allreduce)
+        self.iallreduce(data, op).wait()
     }
 
     /// Fallible ring allgather of variable-size blocks: returns every
@@ -284,15 +287,18 @@ impl Comm {
             .collect())
     }
 
-    /// Fallible ring reduce-scatter: the input is partitioned into `p`
+    /// Fallible reduce-scatter: the input is partitioned into `p`
     /// contiguous blocks of the given lengths (`counts.len() == p`,
     /// `Σ counts == data.len()`); on return each rank holds the
-    /// elementwise reduction of its own block across all ranks.
+    /// elementwise reduction of its own block across all ranks. The
+    /// buffer is split into owned per-destination blocks and handed to
+    /// [`Comm::ireduce_scatter_blocks`] (see there for the algorithm and
+    /// combine order), completed at once.
     pub fn try_reduce_scatter<T: Elem>(
         &self,
-        data: Vec<T>,
+        mut data: Vec<T>,
         counts: &[usize],
-        op: impl Fn(&mut [T], &[T]) + Copy,
+        op: impl Fn(&mut [T], &[T]) + Copy + Send + 'static,
     ) -> Result<Vec<T>, CommError> {
         let p = self.size();
         assert_eq!(counts.len(), p, "reduce_scatter needs one count per rank");
@@ -302,45 +308,14 @@ impl Comm {
             data.len(),
             "reduce_scatter counts must cover the buffer"
         );
-        if p == 1 {
-            return Ok(data);
-        }
-        let offsets: Vec<usize> = counts
+        // Back to front, so each `split_off` moves only its own tail.
+        let mut blocks: Vec<Vec<T>> = counts
             .iter()
-            .scan(0usize, |acc, &c| {
-                let o = *acc;
-                *acc += c;
-                Some(o)
-            })
+            .rev()
+            .map(|&n| data.split_off(data.len() - n))
             .collect();
-        let block = |buf: &[T], i: usize| buf[offsets[i]..offsets[i] + counts[i]].to_vec();
-
-        let right = (self.rank + 1) % p;
-        let left = (self.rank + p - 1) % p;
-        // Step 0 sends the block belonging to my left neighbor-chain end;
-        // after p-1 steps the fully-reduced own block remains.
-        let mut carry = block(&data, (self.rank + 1) % p);
-        for step in 0..p - 1 {
-            self.send_k(left, carry, CollectiveKind::ReduceScatter)?;
-            let incoming: Vec<T> = self.recv_k(right, CollectiveKind::ReduceScatter)?;
-            // The incoming partial sum corresponds to block
-            // (rank + step + 2) mod p … except on the final step, where it
-            // is my own block: accumulate my contribution and continue.
-            let idx = (self.rank + step + 2) % p;
-            let mut acc = incoming;
-            let mine = block(&data, idx);
-            if acc.len() != mine.len() {
-                return Err(CommError::SizeMismatch {
-                    src: self.group[right],
-                    dst: self.group[self.rank],
-                    expected: mine.len(),
-                    got: acc.len(),
-                });
-            }
-            op(&mut acc, &mine);
-            carry = acc;
-        }
-        Ok(carry)
+        blocks.reverse();
+        self.ireduce_scatter_blocks(blocks, op).wait()
     }
 
     /// Fallible direct all-to-all of variable blocks: `blocks[r]` goes to
@@ -608,7 +583,11 @@ impl Comm {
     }
 
     /// Allreduce = reduce to rank 0 + broadcast.
-    pub fn allreduce<T: Elem>(&self, data: Vec<T>, op: impl Fn(&mut [T], &[T]) + Copy) -> Vec<T> {
+    pub fn allreduce<T: Elem>(
+        &self,
+        data: Vec<T>,
+        op: impl Fn(&mut [T], &[T]) + Copy + Send + 'static,
+    ) -> Vec<T> {
         self.try_allreduce(data, op)
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -619,7 +598,7 @@ impl Comm {
         self.try_allgatherv(data).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Ring reduce-scatter: the input is partitioned into `p` contiguous
+    /// Reduce-scatter: the input is partitioned into `p` contiguous
     /// blocks of the given lengths (`counts.len() == p`,
     /// `Σ counts == data.len()`); on return each rank holds the elementwise
     /// reduction of its own block across all ranks.
@@ -627,7 +606,7 @@ impl Comm {
         &self,
         data: Vec<T>,
         counts: &[usize],
-        op: impl Fn(&mut [T], &[T]) + Copy,
+        op: impl Fn(&mut [T], &[T]) + Copy + Send + 'static,
     ) -> Vec<T> {
         self.try_reduce_scatter(data, counts, op)
             .unwrap_or_else(|e| panic!("{e}"))

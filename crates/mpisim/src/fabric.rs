@@ -1194,21 +1194,6 @@ impl Fabric {
         Ok(())
     }
 
-    /// Nonblocking readiness poll for the `src → dst` link: would a
-    /// receive complete without waiting? True when an epoch-current
-    /// message is queued — and also when the fabric is revoked or either
-    /// endpoint is dead, so a poller that then calls `try_recv` observes
-    /// the typed error immediately instead of blocking. This is the
-    /// progress probe behind [`crate::request::Request::test`].
-    pub fn has_message(&self, src: usize, dst: usize) -> bool {
-        if self.is_revoked() || !self.is_alive(src) || !self.is_alive(dst) {
-            return true;
-        }
-        let current = self.current_epoch();
-        let queue = self.link(src, dst).lock();
-        queue.iter().any(|(epoch, _)| *epoch >= current)
-    }
-
     /// Fallible receive of the next message sent from `src` to `dst`,
     /// downcasting to the expected element type. Messages sent under an
     /// earlier fabric epoch are silently discarded (stale traffic from a

@@ -5,7 +5,7 @@
 //! algorithms can be implemented *and validated* faithfully: ranks are OS
 //! threads, point-to-point messages travel over per-pair channels, and the
 //! full set of collectives the Tucker kernels need (barrier, broadcast,
-//! reduce, allreduce, ring allgather, ring reduce-scatter, all-to-all,
+//! reduce, allreduce, ring allgather, pairwise reduce-scatter, all-to-all,
 //! gather, comm split, Cartesian grids) is implemented on top.
 //!
 //! Every byte sent is counted ([`fabric::TrafficStats`]), which is how the

@@ -1,59 +1,49 @@
-//! Split-phase (nonblocking) communication: post now, complete later.
+//! Split-phase communication: post now, complete later.
 //!
-//! The blocking collectives in [`crate::comm`] serialize communication
-//! against local compute. The pipelined TTM/SI kernels in the `dist`
-//! crate instead *post* an operation, overlap the next slab's GEMM with
-//! the traffic in flight, and *wait* just before combining — the classic
-//! split-phase pattern of `MPI_Isend`/`MPI_Wait`. This module provides
-//! that shape over the same fabric:
+//! The slabbed TTM/SI kernels in the `dist` crate *post* a slab's
+//! collective, compute the next slab while the traffic is in flight,
+//! and *wait* just before combining — the split-phase pattern of
+//! `MPI_Iallreduce`/`MPI_Wait`. This module provides the two
+//! collectives those kernels need, and each is the **only**
+//! implementation of its algorithm: the blocking
+//! [`Comm::try_allreduce`] and [`Comm::try_reduce_scatter`] are
+//! `post(…).wait()` over the same bodies.
 //!
-//! - [`Comm::isend`] / [`Comm::irecv`] — point-to-point post/wait;
-//! - [`Comm::ibcast`], [`Comm::iallreduce`], [`Comm::iallgatherv`],
-//!   [`Comm::ireduce_scatter`] — split-phase collectives;
-//! - [`Comm::ireduce_scatter_blocks`] — the zero-copy form: callers
-//!   hand over one owned `Vec` per destination and each block *moves*
-//!   into the fabric, skipping the contiguous staging buffer the
-//!   MPI-style counted interface forces.
+//! - [`Comm::iallreduce`] — binomial reduce to rank 0 + binomial
+//!   broadcast, with the output length checked;
+//! - [`Comm::ireduce_scatter_blocks`] — pairwise-exchange
+//!   reduce-scatter over owned per-destination blocks: each block
+//!   *moves* into the fabric, with no contiguous staging buffer.
 //!
 //! # Execution model
 //!
 //! The simulator has no progress thread, so a request follows MPI's
 //! weak-progress model: the **eager leg** of an operation executes at
-//! post time (sends never block — links are unbounded FIFOs), and the
-//! remainder — every leg that would have to wait on a peer — runs inside
-//! [`Request::wait`] (or [`Request::test`] once its first inbound
-//! message is observable). Concretely:
+//! post time (sends never block — links are unbounded FIFOs), and every
+//! leg that would have to wait on a peer runs inside [`Request::wait`]:
 //!
-//! - `isend` completes entirely at post;
-//! - `ibcast` at the root completes at post (the root only sends);
 //! - `iallreduce` on an odd rank posts its single reduce-leg send
 //!   eagerly, deferring only the broadcast leg;
-//! - `ireduce_scatter` uses a pairwise exchange: **all** `p-1`
-//!   contribution sends post eagerly, so the whole payload is in flight
-//!   during the overlap window and `wait` only receives and combines;
-//! - the ring `iallgatherv` posts its step-0 send eagerly, deferring
-//!   the remaining ring steps (every later hop forwards received data,
-//!   so nothing more can execute early).
+//! - `ireduce_scatter_blocks` posts **all** `p-1` contribution sends
+//!   eagerly, so the whole payload is in flight while the caller
+//!   computes, and `wait` only receives and combines.
 //!
-//! Each deferred leg either replays the blocking algorithm's exact
-//! per-link program order, or (pairwise `ireduce_scatter`) reproduces
-//! the blocking ring's exact floating-point accumulation order, so a
-//! split-phase operation is **bit-identical** to its blocking
-//! counterpart and may be freely mixed with blocking collectives on the
-//! same communicator — as long as at most one operation per
-//! communicator is in flight at a time (the links are tagless FIFOs,
-//! the usual single-channel MPI ordering contract).
+//! Both combine in an order fixed by rank arithmetic alone (documented
+//! on each method), so results are bit-identical under any schedule.
+//! At most one operation per communicator may be in flight at a time:
+//! the links are tagless FIFOs (the usual single-channel MPI ordering
+//! contract).
 //!
 //! # Accounting, deadlines, faults
 //!
 //! Every leg goes through the same `send_k`/`recv_k` internals as the
-//! blocking collectives, so traffic is charged to the operation's
+//! other collectives, so traffic is charged to the operation's
 //! [`CollectiveKind`] the moment each send is posted — eager-leg bytes
 //! land on the ledger at post time — and the per-kind partition
 //! invariant (`Σ kinds == global`) holds at every instant, even with
 //! requests in flight. Deadline budgets, retry-with-backoff healing,
 //! and fault injection (drops, corruption, crashes) apply unchanged;
-//! errors surface from `wait`/`test` as typed [`CommError`]s.
+//! errors surface from `wait` as typed [`CommError`]s.
 //!
 //! # Drop safety
 //!
@@ -71,27 +61,18 @@ use crate::fault::CommError;
 /// The deferred remainder of a split-phase operation.
 type Continuation<R> = Box<dyn FnOnce(&Comm) -> Result<R, CommError> + Send>;
 
-/// A readiness probe: would running the continuation complete without
-/// blocking (or fail fast with a typed error)?
-type ReadyProbe = Box<dyn Fn(&Comm) -> bool + Send>;
-
 /// A handle to an in-flight split-phase operation (see the module docs
-/// for the execution model). Obtain one from [`Comm::isend`],
-/// [`Comm::irecv`], or the `i*` collectives; complete it with
-/// [`Request::wait`] or poll it with [`Request::test`]. Dropping a
-/// request without waiting drains it (see "Drop safety" above).
-#[must_use = "a posted request should be completed with wait() or test()"]
+/// for the execution model). Obtain one from [`Comm::iallreduce`] or
+/// [`Comm::ireduce_scatter_blocks`]; complete it with
+/// [`Request::wait`]. Dropping a request without waiting drains it (see
+/// "Drop safety" above).
+#[must_use = "a posted request should be completed with wait()"]
 pub struct Request<R> {
     comm: Comm,
-    /// Deferred legs; `None` once completed (or if the operation
-    /// finished entirely at post time).
+    /// Deferred legs; `None` if the operation finished at post time.
     run: Option<Continuation<R>>,
-    /// Nonblocking completability probe; `None` for multi-step deferred
-    /// operations, whose completion requires a potentially-blocking
-    /// `wait`.
-    ready: Option<ReadyProbe>,
     /// Result of an operation that completed at post time (or via a
-    /// failed eager leg), not yet claimed by `wait`/`test`.
+    /// failed eager leg).
     done: Option<Result<R, CommError>>,
 }
 
@@ -101,7 +82,6 @@ impl<R: Send + 'static> Request<R> {
         Request {
             comm: comm.clone(),
             run: None,
-            ready: None,
             done: Some(result),
         }
     }
@@ -114,61 +94,22 @@ impl<R: Send + 'static> Request<R> {
         Request {
             comm: comm.clone(),
             run: Some(Box::new(run)),
-            ready: None,
-            done: None,
-        }
-    }
-
-    /// A deferred request with a nonblocking readiness probe, for
-    /// operations whose remainder cannot block once `ready` is true.
-    fn pollable(
-        comm: &Comm,
-        ready: impl Fn(&Comm) -> bool + Send + 'static,
-        run: impl FnOnce(&Comm) -> Result<R, CommError> + Send + 'static,
-    ) -> Request<R> {
-        Request {
-            comm: comm.clone(),
-            run: Some(Box::new(run)),
-            ready: Some(Box::new(ready)),
             done: None,
         }
     }
 
     /// Blocks until the operation completes and returns its result —
     /// `MPI_Wait`. Deferred legs execute here, under the same deadline,
-    /// retry, and fault machinery as the blocking collectives.
+    /// retry, and fault machinery as every other collective.
     pub fn wait(mut self) -> Result<R, CommError> {
         if let Some(done) = self.done.take() {
             return done;
         }
-        match self.run.take() {
-            Some(run) => run(&self.comm),
-            // Unreachable through the public API (wait consumes self,
-            // test only completes by taking run/done), but be total.
-            None => panic!("request already completed"),
-        }
-    }
-
-    /// Nonblocking completion attempt — `MPI_Test`. Returns
-    /// `Some(result)` if the operation is complete (claiming it: a later
-    /// drop is a no-op), `None` if it cannot yet complete without
-    /// blocking.
-    ///
-    /// Conservative by design: operations that finished at post time
-    /// complete immediately; `irecv` (and a non-root `ibcast`) completes
-    /// once its inbound message is observable, and `ireduce_scatter`
-    /// once every peer's contribution is — which also surfaces
-    /// revocation and dead-peer errors without blocking. The remaining
-    /// multi-step collectives never complete via `test` — use
-    /// [`Request::wait`].
-    pub fn test(&mut self) -> Option<Result<R, CommError>> {
-        if let Some(done) = self.done.take() {
-            return Some(done);
-        }
-        if !self.ready.as_ref().is_some_and(|probe| probe(&self.comm)) {
-            return None;
-        }
-        self.run.take().map(|run| run(&self.comm))
+        let run = self
+            .run
+            .take()
+            .expect("a request holds a result or a remainder");
+        run(&self.comm)
     }
 }
 
@@ -188,66 +129,31 @@ impl<R> Drop for Request<R> {
 }
 
 impl Comm {
-    /// Nonblocking point-to-point send to communicator rank `dst` —
-    /// `MPI_Isend`. Links are unbounded, so the send executes (and its
-    /// traffic is charged) entirely at post time; `wait` only reports
-    /// the outcome.
-    pub fn isend<T: Elem>(&self, dst: usize, data: Vec<T>) -> Request<()> {
-        let result = self.send_k(dst, data, CollectiveKind::PointToPoint);
-        Request::completed(self, result)
-    }
-
-    /// Nonblocking point-to-point receive from communicator rank `src`
-    /// — `MPI_Irecv`. Completes via `wait`, or via `test` once the
-    /// message has arrived.
-    pub fn irecv<T: Elem>(&self, src: usize) -> Request<Vec<T>> {
-        let (src_w, dst_w) = (self.group[src], self.group[self.rank]);
-        Request::pollable(
-            self,
-            move |c: &Comm| c.fabric.has_message(src_w, dst_w),
-            move |c: &Comm| c.recv_k(src, CollectiveKind::PointToPoint),
-        )
-    }
-
-    /// Split-phase binomial broadcast (see [`Comm::try_bcast`]). The
-    /// root's sends all execute at post time; a non-root rank defers its
-    /// receive-and-forward, and its `test` succeeds once the parent's
-    /// message has arrived (forwarding to children never blocks).
-    pub fn ibcast<T: Elem>(&self, root: usize, data: Vec<T>) -> Request<Vec<T>> {
-        let p = self.size();
-        let vrank = (self.rank + p - root) % p;
-        if p == 1 || vrank == 0 {
-            let result = self.bcast_k(root, data, CollectiveKind::Bcast);
-            return Request::completed(self, result);
-        }
-        // Parent in the binomial tree: clear my lowest set virtual bit.
-        let lowest = vrank & vrank.wrapping_neg();
-        let parent = ((vrank & !lowest) + root) % p;
-        let (src_w, dst_w) = (self.group[parent], self.group[self.rank]);
-        Request::pollable(
-            self,
-            move |c: &Comm| c.fabric.has_message(src_w, dst_w),
-            move |c: &Comm| c.bcast_k(root, data, CollectiveKind::Bcast),
-        )
-    }
-
-    /// Split-phase allreduce (see [`Comm::try_allreduce`]). An odd rank's
-    /// reduce leg is a single send, posted eagerly; even ranks (whose
-    /// first action is a receive) defer the whole operation. Complete
-    /// with [`Request::wait`].
+    /// Split-phase allreduce: a binomial reduce to rank 0 followed by a
+    /// binomial broadcast, both legs charged to
+    /// [`CollectiveKind::Allreduce`]. [`Comm::try_allreduce`] is this
+    /// followed by [`Request::wait`].
+    ///
+    /// Combine order: in the reduce leg, rank `v` starts from its own
+    /// contribution and, for `mask = 1, 2, 4, …` while `v & mask == 0`,
+    /// folds in the partial of rank `v | mask` (if it exists) as the
+    /// second `op` operand; a rank sends its partial to `v & !mask` at
+    /// its lowest set bit. Rank 0's final partial is broadcast
+    /// verbatim, so every rank receives the same bits.
+    ///
+    /// An odd rank's reduce leg is a single send, posted eagerly; even
+    /// ranks (whose first action is a receive) defer the whole
+    /// operation. A broadcast whose length differs from the input's —
+    /// a channel desynced by a lost or stray message — is a typed
+    /// [`CommError::SizeMismatch`], not a silently wrong-shaped result.
     pub fn iallreduce<T: Elem>(
         &self,
         data: Vec<T>,
         op: impl Fn(&mut [T], &[T]) + Copy + Send + 'static,
     ) -> Request<Vec<T>> {
-        let p = self.size();
-        if p == 1 {
+        if self.size() == 1 {
             return Request::completed(self, Ok(data));
         }
-        // An allreduce's output length always equals its input length;
-        // the broadcast leg otherwise accepts any payload, so a channel
-        // desynced by a dropped message would surface downstream as an
-        // untyped shape panic instead of a typed, recoverable error.
         let expected = data.len();
         let check = move |c: &Comm, out: Vec<T>| {
             if out.len() != expected {
@@ -278,88 +184,19 @@ impl Comm {
         })
     }
 
-    /// Split-phase ring allgatherv (see [`Comm::try_allgatherv`]). The
-    /// step-0 send of this rank's own block is posted eagerly; the
-    /// remaining ring steps run at `wait` time in the blocking
-    /// algorithm's exact per-link order.
-    pub fn iallgatherv<T: Elem>(&self, data: Vec<T>) -> Request<Vec<Vec<T>>> {
-        let p = self.size();
-        if p == 1 {
-            return Request::completed(self, Ok(vec![data]));
-        }
-        let right = (self.rank + 1) % p;
-        let left = (self.rank + p - 1) % p;
-        let mut blocks: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
-        if let Err(e) = self.send_k(right, data.clone(), CollectiveKind::Allgatherv) {
-            return Request::completed(self, Err(e));
-        }
-        blocks[self.rank] = Some(data);
-        let rank = self.rank;
-        Request::deferred(self, move |c: &Comm| {
-            let mut blocks = blocks;
-            for step in 0..p - 1 {
-                let recv_idx = (rank + p - step - 1) % p;
-                blocks[recv_idx] = Some(c.recv_k(left, CollectiveKind::Allgatherv)?);
-                if step + 1 < p - 1 {
-                    // Forward the block that just arrived (what the
-                    // blocking loop sends at the top of step + 1).
-                    let fwd = blocks[recv_idx].clone().expect("just stored");
-                    c.send_k(right, fwd, CollectiveKind::Allgatherv)?;
-                }
-            }
-            Ok(blocks
-                .into_iter()
-                .map(|b| b.expect("ring allgather gap"))
-                .collect())
-        })
-    }
-
-    /// Split-phase reduce-scatter, result bit-identical to
-    /// [`Comm::try_reduce_scatter`]. Unlike the blocking ring — whose
-    /// every hop depends on the previous one, so nothing could execute
-    /// before `wait` — the split-phase form is a *pairwise exchange*:
-    /// all `p − 1` contribution sends are posted (and charged) eagerly
-    /// at post time, so the traffic is genuinely in flight while the
-    /// caller computes, and `wait` only receives and combines. The
-    /// combine replays the ring's exact accumulation order for chunk
-    /// `r` — contributions folded in source order
-    /// `r−1, r−2, …, r+1, r` (mod `p`) with the accumulator always the
-    /// first `op` operand — which is what keeps the pipelined TTM
-    /// bit-identical to the blocking path. `test` completes once every
-    /// peer's contribution is observable.
-    pub fn ireduce_scatter<T: Elem>(
-        &self,
-        mut data: Vec<T>,
-        counts: &[usize],
-        op: impl Fn(&mut [T], &[T]) + Copy + Send + 'static,
-    ) -> Request<Vec<T>> {
-        let p = self.size();
-        assert_eq!(counts.len(), p, "reduce_scatter needs one count per rank");
-        let total: usize = counts.iter().sum();
-        assert_eq!(
-            total,
-            data.len(),
-            "reduce_scatter counts must cover the buffer"
-        );
-        // Chunk the contiguous buffer back-to-front (split_off keeps
-        // each chunk a cheap tail move) and run the block-owning form.
-        let mut blocks: Vec<Vec<T>> = Vec::with_capacity(p);
-        for q in (0..p).rev() {
-            blocks.push(data.split_off(data.len() - counts[q]));
-        }
-        blocks.reverse();
-        self.ireduce_scatter_blocks(blocks, op)
-    }
-
-    /// The zero-copy form of [`Comm::ireduce_scatter`]: the caller hands
-    /// over one owned block per destination rank (`blocks[q]` is this
-    /// rank's contribution to rank `q`'s chunk), and each block is moved
-    /// straight into the fabric — no contiguous staging buffer, no chunk
-    /// copies. This is the form the pipelined kernels use: producing
-    /// per-destination blocks directly is free for them, and it deletes
-    /// the full-buffer copy the MPI-style contiguous interface forces.
-    /// Result and accumulation order are identical to
-    /// [`Comm::ireduce_scatter`].
+    /// Split-phase reduce-scatter over owned per-destination blocks:
+    /// `blocks[q]` is this rank's contribution to rank `q`'s chunk, and
+    /// the result is this rank's chunk reduced across the communicator.
+    /// [`Comm::try_reduce_scatter`] is this followed by
+    /// [`Request::wait`].
+    ///
+    /// A pairwise exchange: all `p − 1` contribution sends are posted
+    /// (and charged) eagerly, in ascending ring distance, each block
+    /// moved rather than copied; `wait` receives and combines. Combine
+    /// order for chunk `r`: contributions folded in source order
+    /// `r−1, r−2, …, r+1` (mod `p`), starting from rank `r−1`'s raw
+    /// block with the accumulator always the first `op` operand, and
+    /// rank `r`'s own block folded in last.
     pub fn ireduce_scatter_blocks<T: Elem>(
         &self,
         mut blocks: Vec<Vec<T>>,
@@ -372,9 +209,7 @@ impl Comm {
             return Request::completed(self, Ok(only));
         }
         let rank = self.rank;
-        // Eager leg: my contribution to every other rank's chunk, in
-        // ascending ring distance (deterministic send order). Blocks are
-        // moved, not copied; the slot left behind is an empty Vec.
+        // Eager leg. The slot left behind each moved block is empty.
         for d in 1..p {
             let dst = (rank + d) % p;
             let chunk = std::mem::take(&mut blocks[dst]);
@@ -383,38 +218,25 @@ impl Comm {
             }
         }
         let mine = std::mem::take(&mut blocks[rank]);
-        let expected = mine.len();
-        let my_group = self.group.clone();
-        let probe = move |c: &Comm| {
-            (1..p).all(|d| {
-                let src = (rank + p - d) % p;
-                c.fabric.has_message(my_group[src], my_group[rank])
-            })
-        };
-        Request::pollable(self, probe, move |c: &Comm| {
+        Request::deferred(self, move |c: &Comm| {
             let mut acc: Option<Vec<T>> = None;
             for d in 1..p {
                 let src = (rank + p - d) % p;
                 let incoming: Vec<T> = c.recv_k(src, CollectiveKind::ReduceScatter)?;
-                if incoming.len() != expected {
+                if incoming.len() != mine.len() {
                     return Err(CommError::SizeMismatch {
                         src: c.group[src],
                         dst: c.group[rank],
-                        expected,
+                        expected: mine.len(),
                         got: incoming.len(),
                     });
                 }
                 match &mut acc {
-                    // The ring's chunk-r partial starts life as rank
-                    // r−1's raw contribution…
                     None => acc = Some(incoming),
-                    // …and accumulates each farther rank's contribution
-                    // with the running partial as the first operand.
                     Some(acc) => op(acc, &incoming),
                 }
             }
             let mut acc = acc.expect("p > 1: at least one contribution");
-            // The ring's final hop: my own contribution folds in last.
             op(&mut acc, &mine);
             Ok(acc)
         })
@@ -423,88 +245,99 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
-    use crate::comm::{max_op, sum_op};
+    use crate::comm::sum_op;
     use crate::fabric::CollectiveKind;
+    use crate::fault::CommError;
     use crate::universe::Universe;
 
-    #[test]
-    fn isend_irecv_roundtrip_and_test_polling() {
-        let out = Universe::launch(2, |c| {
-            if c.rank() == 0 {
-                let req = c.isend(1, vec![3.5f64, -1.0]);
-                req.wait().unwrap();
-                c.recv::<f64>(1)
-            } else {
-                let mut req = c.irecv::<f64>(0);
-                // Poll until the message lands; test() must complete it.
-                let got = loop {
-                    if let Some(res) = req.test() {
-                        break res.unwrap();
-                    }
-                    std::thread::yield_now();
-                };
-                c.send(0, vec![got[0] * 2.0]);
-                got
+    /// Order-sensitive, non-integer payload entries: rounding differs
+    /// between summation orders, so a bitwise match pins the order.
+    fn entry(rank: usize, i: usize) -> f64 {
+        ((rank * 7 + i * 3 + 1) as f64 * 0.37).sin() * 10f64.powi((rank % 3) as i32 - 1)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Sequential reference for [`Comm::iallreduce`]'s documented
+    /// binomial combine order: rank `v`'s partial after folding the
+    /// subtrees below `limit`.
+    fn binomial_partial(vals: &[Vec<f64>], v: usize, limit: usize) -> Vec<f64> {
+        let p = vals.len();
+        let mut acc = vals[v].clone();
+        let mut mask = 1;
+        while mask < limit && mask < p {
+            if v | mask < p {
+                sum_op(&mut acc, &binomial_partial(vals, v | mask, mask));
             }
-        });
-        assert_eq!(out[0], vec![7.0]);
-        assert_eq!(out[1], vec![3.5, -1.0]);
+            mask <<= 1;
+        }
+        acc
     }
 
     #[test]
-    fn split_phase_collectives_match_blocking_bitwise() {
-        for p in [1, 2, 3, 4, 8] {
-            let split = Universe::launch(p, |c| {
-                let b = c.ibcast(
-                    0,
-                    if c.rank() == 0 {
-                        vec![2.5f64, 7.0]
-                    } else {
-                        vec![]
-                    },
-                );
-                let b = b.wait().unwrap();
-                let ar = c.iallreduce(vec![c.rank() as f64 + 0.5; 3], sum_op);
-                let ar = ar.wait().unwrap();
-                let ag = c.iallgatherv(vec![c.rank() as u64; c.rank() + 1]);
-                let ag = ag.wait().unwrap();
-                let data: Vec<f64> = (0..2 * p).map(|i| (c.rank() * i) as f64).collect();
-                let rs = c.ireduce_scatter(data, &vec![2usize; p], max_op);
-                let rs = rs.wait().unwrap();
-                (b, ar, ag, rs)
+    fn collectives_match_their_documented_sequential_fold_bitwise() {
+        for p in [1usize, 2, 3, 4, 8] {
+            let len = 5;
+            let counts: Vec<usize> = (0..p).map(|q| 1 + q % 3).collect();
+            let total: usize = counts.iter().sum();
+            let c2 = counts.clone();
+            let out = Universe::launch(p, move |c| {
+                let me = c.rank();
+                let ar = c.try_allreduce((0..len).map(|i| entry(me, i)).collect(), sum_op);
+                let rs_data: Vec<f64> = (0..total).map(|i| entry(me, i + 11)).collect();
+                let rs = c.try_reduce_scatter(rs_data, &c2, sum_op);
+                (ar.unwrap(), rs.unwrap())
             });
-            let blocking = Universe::launch(p, |c| {
-                let b = c.bcast(
-                    0,
-                    if c.rank() == 0 {
-                        vec![2.5f64, 7.0]
-                    } else {
-                        vec![]
-                    },
+
+            let ar_vals: Vec<Vec<f64>> = (0..p)
+                .map(|r| (0..len).map(|i| entry(r, i)).collect())
+                .collect();
+            let ar_want = binomial_partial(&ar_vals, 0, usize::MAX);
+            let mut offset = 0;
+            for (r, (ar, rs)) in out.iter().enumerate() {
+                assert_eq!(bits(ar), bits(&ar_want), "p={p} rank {r}: allreduce order");
+                // Chunk r folds sources r−1, r−2, …, r+1, then r itself.
+                let chunk = |src: usize| -> Vec<f64> {
+                    (offset..offset + counts[r])
+                        .map(|i| entry(src, i + 11))
+                        .collect()
+                };
+                let mut want = chunk((r + p - 1) % p);
+                for d in 2..=p {
+                    sum_op(&mut want, &chunk((r + p - d) % p));
+                }
+                assert_eq!(
+                    bits(rs),
+                    bits(&want),
+                    "p={p} rank {r}: reduce-scatter order"
                 );
-                let ar = c.allreduce(vec![c.rank() as f64 + 0.5; 3], sum_op);
-                let ag = c.allgatherv(vec![c.rank() as u64; c.rank() + 1]);
-                let data: Vec<f64> = (0..2 * p).map(|i| (c.rank() * i) as f64).collect();
-                let rs = c.reduce_scatter(data, &vec![2usize; p], max_op);
-                (b, ar, ag, rs)
-            });
-            for (rank, (s, b)) in split.iter().zip(&blocking).enumerate() {
-                assert!(
-                    s.0.iter()
-                        .zip(&b.0)
-                        .all(|(x, y)| x.to_bits() == y.to_bits())
-                        && s.1
-                            .iter()
-                            .zip(&b.1)
-                            .all(|(x, y)| x.to_bits() == y.to_bits())
-                        && s.2 == b.2
-                        && s.3
-                            .iter()
-                            .zip(&b.3)
-                            .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "p={p} rank {rank}: split-phase diverged from blocking"
-                );
+                offset += counts[r];
             }
+        }
+    }
+
+    #[test]
+    fn stray_message_before_allreduce_is_a_size_mismatch() {
+        // A message left on the 0→1 link (a desynced channel) is what
+        // rank 1's broadcast leg receives: its length differs from the
+        // allreduce's, which must surface typed rather than as a
+        // wrong-shaped `Ok`.
+        let out = Universe::launch(2, |c| {
+            if c.rank() == 0 {
+                c.try_send(1, vec![9.0f64; 5]).unwrap();
+            }
+            c.try_allreduce(vec![1.0f64; 3], sum_op)
+        });
+        assert_eq!(out[0].as_ref().unwrap(), &vec![2.0; 3]);
+        match &out[1] {
+            Err(CommError::SizeMismatch {
+                expected: 3,
+                got: 5,
+                ..
+            }) => {}
+            other => panic!("rank 1: expected SizeMismatch, got {other:?}"),
         }
     }
 
@@ -512,18 +345,14 @@ mod tests {
     fn eager_leg_traffic_is_charged_at_post_time() {
         let u = Universe::new(2);
         u.run(|c| {
-            if c.rank() == 0 {
-                let scope = c.traffic_scope();
-                let req = c.isend(1, vec![0.0f64; 100]);
-                // Charged before wait: the full 800 bytes are on the
-                // ledger while the request is still in flight.
-                let delta = scope.delta();
-                assert_eq!(delta.bytes_of(CollectiveKind::PointToPoint), 800);
-                assert_eq!(delta.messages_of(CollectiveKind::PointToPoint), 1);
-                req.wait().unwrap();
-            } else {
-                c.irecv::<f64>(0).wait().unwrap();
-            }
+            let scope = c.traffic_scope();
+            let req = c.ireduce_scatter_blocks(vec![vec![0.0f64; 100]; 2], sum_op);
+            // Charged before wait: the peer's 800 bytes are on the
+            // ledger while the request is still in flight.
+            let delta = scope.delta();
+            assert_eq!(delta.bytes_of(CollectiveKind::ReduceScatter), 800);
+            assert_eq!(delta.messages_of(CollectiveKind::ReduceScatter), 1);
+            req.wait().unwrap();
         });
         u.traffic().check_kind_partition().unwrap();
         u.traffic()
@@ -533,22 +362,17 @@ mod tests {
 
     #[test]
     fn dropped_request_does_not_leak_mailbox_slots() {
-        // Modeled on `clear_fault_plan_disarms_before_next_run`: without
-        // the drop guard, the un-received message would sit in the 0→1
-        // mailbox and the follow-up collective on the same link would
-        // pop it instead of its own traffic (a type-mismatch / wrong
-        // answer), and the per-kind ledger would stay unbalanced.
+        // Without the drop guard, the un-received contributions would
+        // sit in the mailboxes and the follow-up collective on the same
+        // links would pop them instead of its own traffic (a
+        // type-mismatch / wrong answer), and the per-kind ledger would
+        // stay unbalanced.
         let u = Universe::new(2);
         let out = u.run(|c| {
-            if c.rank() == 0 {
-                c.isend(1, vec![123.0f64; 7]).wait().unwrap();
-            } else {
-                let req = c.irecv::<f64>(0);
-                drop(req); // early-return path: never waited
-            }
-            // A dropped collective request drains too (all ranks drop).
-            let rs = c.ireduce_scatter(vec![1.0f64; 2], &[1, 1], sum_op);
+            let rs = c.ireduce_scatter_blocks(vec![vec![1.0f64], vec![1.0f64]], sum_op);
             drop(rs);
+            let ar = c.iallreduce(vec![0.5f64; 3], sum_op);
+            drop(ar);
             // The links are clean: this must see its own traffic only.
             c.allreduce(vec![c.rank() as u64 + 1], sum_op)
         });
@@ -563,8 +387,8 @@ mod tests {
     fn partition_invariant_holds_with_requests_in_flight() {
         let u = Universe::new(4);
         u.run(|c| {
-            let data: Vec<f64> = (0..4).map(|i| (c.rank() + i) as f64).collect();
-            let rs = c.ireduce_scatter(data, &[1, 1, 1, 1], sum_op);
+            let blocks: Vec<Vec<f64>> = (0..4).map(|i| vec![(c.rank() + i) as f64]).collect();
+            let rs = c.ireduce_scatter_blocks(blocks, sum_op);
             // In flight: every rank's eager contribution sends are
             // posted. Every charged byte must already be attributed to
             // a kind.
@@ -576,12 +400,12 @@ mod tests {
 
     #[test]
     fn in_flight_request_surfaces_peer_death_as_typed_error() {
-        use crate::fault::{CommError, FaultPlan};
+        use crate::fault::FaultPlan;
         let u = Universe::with_fault_plan(2, FaultPlan::quiet(17).with_crash(0, 3));
         u.set_recv_timeout(std::time::Duration::from_secs(10));
         let out = u.try_run(|c| {
             if c.rank() == 1 {
-                let req = c.irecv::<f64>(0);
+                let req = c.ireduce_scatter_blocks(vec![vec![1.0f64], vec![2.0]], sum_op);
                 match req.wait() {
                     Err(CommError::PeerClosed { .. }) => "typed peer-closed",
                     Err(_) => "other error",

@@ -119,8 +119,8 @@ impl PhaseBreakdown {
     }
 
     /// Critical-path estimate with comm/compute overlap credited: phases
-    /// whose label is in `labels` (e.g. `["TTM", "SI"]` under
-    /// `Overlap on`) contribute only `(1 − credit)` of their slowest-rank
+    /// whose label is in `labels` (e.g. `["TTM", "SI"]`, the slabbed
+    /// kernels) contribute only `(1 − credit)` of their slowest-rank
     /// time, because a `credit` fraction of each is expected to hide
     /// behind the adjacent slab's local compute in the pipelined kernels
     /// (DESIGN.md §17). With `credit = (S − 1)/S` for an `S`-slab

@@ -92,11 +92,11 @@ pub struct PhaseCost {
     /// Words of memory traffic per full pass over the operands, total
     /// across ranks (drives the roofline bandwidth bound).
     pub touched_words: f64,
-    /// The portion of `words` that the `Overlap on` pipeline can hide
-    /// behind slab-local compute: `(S − 1)/S` of a slabbed collective's
-    /// words for an `S`-slab pipeline (S = 4 for the TTM reduce-scatter,
-    /// S = 2 for the SI iterate allreduce; DESIGN.md §17). Zero for
-    /// phases with no pipelined collective.
+    /// The portion of `words` that the slab pipeline can hide behind
+    /// slab-local compute: `(S − 1)/S` of a slabbed collective's words
+    /// for an `S`-slab pipeline (S = 2 for both the TTM reduce-scatter
+    /// and the SI iterate allreduce; DESIGN.md §17). Zero for phases
+    /// with no pipelined collective.
     pub overlappable_words: f64,
 }
 
@@ -205,8 +205,8 @@ pub fn algorithm_cost(alg: AlgKind, prob: &Problem, grid: &[usize]) -> CostBreak
                 words: ttm_words,
                 messages: df * log2p(p),
                 touched_words: touched,
-                // 4-slab pipelined reduce-scatter (Overlap on).
-                overlappable_words: 0.75 * ttm_words,
+                // 2-slab pipelined reduce-scatter.
+                overlappable_words: 0.5 * ttm_words,
             });
         }
         _ => {
@@ -239,8 +239,8 @@ pub fn algorithm_cost(alg: AlgKind, prob: &Problem, grid: &[usize]) -> CostBreak
                 words: iters * ttm_words,
                 messages: iters * df * df * log2p(p),
                 touched_words: iters * ttm_touched,
-                // 4-slab pipelined reduce-scatter (Overlap on).
-                overlappable_words: 0.75 * iters * ttm_words,
+                // 2-slab pipelined reduce-scatter.
+                overlappable_words: 0.5 * iters * ttm_words,
             });
 
             if alg.uses_subspace_iter() {
@@ -257,7 +257,7 @@ pub fn algorithm_cost(alg: AlgKind, prob: &Problem, grid: &[usize]) -> CostBreak
                     messages: iters * 3.0 * df * log2p(p),
                     touched_words: iters * 2.0 * df * n * r.powi(d as i32 - 1),
                     // 2-slab pipelined iterate allreduce hides half of
-                    // the 2·d·n·r reduce+broadcast term (Overlap on).
+                    // the 2·d·n·r reduce+broadcast term.
                     overlappable_words: iters * df * n * r,
                 });
                 phases.push(PhaseCost {

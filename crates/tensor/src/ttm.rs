@@ -25,7 +25,8 @@ pub enum Transpose {
     Yes,
 }
 
-/// Computes `Y = X ×_mode op(M)`.
+/// Computes `Y = X ×_mode op(M)`: [`ttm_right_range`] over every
+/// output slab, wrapped as a tensor.
 ///
 /// # Panics
 /// Panics if the inner dimension of `op(M)` does not match `n_mode`.
@@ -35,101 +36,23 @@ pub fn ttm<T: Scalar>(
     m: &Matrix<T>,
     trans: Transpose,
 ) -> DenseTensor<T> {
-    let n_j = x.dim(mode);
-    let (p, inner) = match trans {
-        Transpose::No => (m.rows(), m.cols()),
-        Transpose::Yes => (m.cols(), m.rows()),
+    let p = match trans {
+        Transpose::No => m.rows(),
+        Transpose::Yes => m.cols(),
     };
-    assert_eq!(
-        inner, n_j,
-        "TTM inner dimension mismatch in mode {mode}: op(M) is ?x{inner}, n_mode={n_j}"
-    );
-    let out_shape = x.shape().with_dim(mode, p);
-    let mut y = DenseTensor::zeros(out_shape);
-
-    if mode == 0 {
-        // Single GEMM on the natural n_0 × (N/n_0) views.
-        let rest = x.num_entries() / n_j;
-        match trans {
-            Transpose::No => kernels::gemm_nn(
-                p,
-                rest,
-                n_j,
-                m.as_slice(),
-                p,
-                x.data(),
-                n_j,
-                y.data_mut(),
-                p,
-            ),
-            Transpose::Yes => kernels::gemm_tn(
-                p,
-                rest,
-                n_j,
-                m.as_slice(),
-                n_j,
-                x.data(),
-                n_j,
-                y.data_mut(),
-                p,
-            ),
-        }
-        return y;
-    }
-
-    let left = x.shape().left(mode);
-    let right = x.shape().right(mode);
-    let x_slab = left * n_j;
-    let y_slab = left * p;
-    // C_r (left×p) = A_r (left×n_j) · op(M): Transpose::No applies Mᵀ
-    // (M : p × n_j), Transpose::Yes applies M as stored (M : n_j × p).
-    let bt = trans == Transpose::No;
-    let ldb = if bt { p } else { n_j };
-
-    let total_fl = 2 * (left as u64) * (p as u64) * (n_j as u64) * (right as u64);
-    let nt = crate::par::num_threads();
-    if nt > 1 && right >= nt && total_fl >= crate::par::PAR_MIN_FLOPS {
-        // Enough slabs to feed every worker: split the *slab batch*
-        // across the pool (each output slab is written by exactly one
-        // worker, so the per-element accumulation order is unchanged and
-        // the result is bit-identical to the serial loop below). The
-        // flop formula for the whole batch is charged on the calling
-        // rank thread, matching the accounting convention in `flops`.
-        crate::flops::add(total_fl);
-        let xdata = x.data();
-        let mslice = m.as_slice();
-        let ranges = crate::par::partition(right, nt);
-        let parts = crate::par::split_columns(y.data_mut(), y_slab, &ranges);
-        crate::par::for_each_part(parts, |_, (slabs, ysub)| {
-            for (off, c) in ysub.chunks_exact_mut(y_slab).enumerate() {
-                let r = slabs.start + off;
-                let a = &xdata[r * x_slab..(r + 1) * x_slab];
-                kernels::gemm_serial(left, p, n_j, a, left, false, mslice, ldb, bt, c, left);
-            }
-        });
-        return y;
-    }
-
-    for r in 0..right {
-        let a = &x.data()[r * x_slab..(r + 1) * x_slab];
-        let c = &mut y.data_mut()[r * y_slab..(r + 1) * y_slab];
-        match trans {
-            Transpose::No => kernels::gemm_nt(left, p, n_j, a, left, m.as_slice(), p, c, left),
-            Transpose::Yes => kernels::gemm_nn(left, p, n_j, a, left, m.as_slice(), n_j, c, left),
-        }
-    }
-    y
+    let data = ttm_right_range(x, mode, m, trans, 0..x.shape().right(mode));
+    DenseTensor::from_vec(x.shape().with_dim(mode, p), data)
 }
 
-/// Computes the right-slab restriction of [`ttm`] without materializing
-/// the input slab: the output slabs `range` selects from
-/// `Y = X ×_mode op(M)`, returned as their packed contiguous run of
-/// `left × p × range.len()` entries (for mode 0, the column range
-/// `range` of the natural `p × (N/n_0)` output view).
+/// Computes the output slabs `range` selects from `Y = X ×_mode op(M)`
+/// without materializing the input slab, returned as their packed
+/// contiguous run of `left × p × range.len()` entries (for mode 0, the
+/// column range `range` of the natural `p × (N/n_0)` output view).
 ///
-/// Bit-identical to the matching entries of the full [`ttm`]: for
-/// `mode > 0` each output slab is one independent GEMM either way, and
-/// for `mode == 0` the restriction is a column range of the single
+/// Any range is bit-identical to the matching entries of the full
+/// product: for `mode > 0` each output slab is one independent GEMM
+/// (split across the worker pool by whole slabs when there are enough),
+/// and for `mode == 0` the restriction is a column range of the single
 /// natural GEMM, whose per-column results are independent of the column
 /// partition (the §16 kernel contract).
 ///
@@ -178,8 +101,12 @@ pub fn ttm_right_range<T: Scalar>(
     let total_fl = 2 * (left as u64) * (p as u64) * (n_j as u64) * (cols as u64);
     let nt = crate::par::num_threads();
     if nt > 1 && cols >= nt && total_fl >= crate::par::PAR_MIN_FLOPS {
-        // Same pooled split as `ttm`: each output slab is written by
-        // exactly one worker, bit-identical to the serial loop below.
+        // Enough slabs to feed every worker: split the slab batch
+        // across the pool. Each output slab is written by exactly one
+        // worker, so the per-element accumulation order is unchanged
+        // and the result is bit-identical to the serial loop below. The
+        // flop formula for the whole batch is charged on the calling
+        // rank thread, matching the accounting convention in `flops`.
         crate::flops::add(total_fl);
         let xdata = x.data();
         let mslice = m.as_slice();

@@ -8,11 +8,10 @@
 //! EVD plateau of STHOSVD vs. HOSI's thin QR) depends on reproducing that
 //! design decision.
 //!
-//! Under `ratucker_dist::OverlapMode::On` (the default; `--overlap` in
-//! the CLI) the TTM and SI kernels these algorithms call pipeline their
-//! collectives behind the next slab's local compute. The pipelined paths
-//! are bit-identical to the blocking ones (DESIGN.md §17), so every
-//! algorithm here is oblivious to the knob — it changes wall-clock only.
+//! The TTM and SI kernels these algorithms call may split their work
+//! into slabs and post each slab's collective behind the next slab's
+//! local compute (DESIGN.md §17). Their results are bitwise independent
+//! of the slab count, so nothing here depends on how they slab.
 
 use crate::checkpoint::{
     expansion_rng, Checkpoint, CheckpointPolicy, FileCheckpointer, NoCheckpoint, RaCheckpointer,

@@ -87,5 +87,4 @@ pub mod prelude {
     pub use crate::synthetic::SyntheticSpec;
     pub use crate::timings::{Phase, Timings};
     pub use crate::tucker_tensor::TuckerTensor;
-    pub use ratucker_dist::{set_overlap, OverlapMode};
 }

@@ -81,16 +81,15 @@ fn dist_sthosvd_factors_are_bit_identical_under_25_schedules() {
 #[test]
 fn p4_pipelined_ttm_si_bit_identical_under_25_schedules() {
     use ratucker::dist::dist_hooi;
-    use ratucker_dist::dist_ttm;
+    use ratucker_dist::try_dist_ttm;
     use ratucker_tensor::{Matrix, Transpose};
 
-    // Both pipelined kernels under every schedule: the mode-1 TTM over a
+    // Both slabbed kernels under every schedule: the mode-1 TTM over a
     // 4-rank fiber (slab reduce-scatters in flight behind slab GEMMs)
     // and the HOSI subspace iteration (slab allreduces in flight behind
-    // slab contractions). Each schedule must (a) agree bitwise with the
-    // blocking path replayed under the *same* schedule and (b) agree
-    // bitwise across schedules — any divergence is a schedule race in
-    // the split-phase machinery, not roundoff.
+    // slab contractions). Results must agree bitwise across schedules —
+    // any divergence is a schedule race in the split-phase machinery,
+    // not roundoff.
     let spec = SyntheticSpec::new(&[12, 16, 10], &[3, 4, 2], 0.02, 4343);
     let u = Universe::new(4);
     u.set_recv_timeout(Duration::from_secs(20));
@@ -98,30 +97,11 @@ fn p4_pipelined_ttm_si_bit_identical_under_25_schedules() {
         let grid = CartGrid::new(c, &[1, 4, 1]);
         let x = DistTensor::scatter_from_replicated(&grid, &spec.build::<f64>());
         let m = Matrix::from_fn(16, 8, |i, j| (((i * 8 + j) as f64) * 0.37).sin());
-
-        set_overlap(OverlapMode::On);
-        let y_on = dist_ttm(&grid, &x, 1, &m, Transpose::Yes);
-        set_overlap(OverlapMode::Off);
-        let y_off = dist_ttm(&grid, &x, 1, &m, Transpose::Yes);
-        set_overlap(OverlapMode::On);
-        assert_eq!(
-            y_on.local()
-                .data()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            y_off
-                .local()
-                .data()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            "pipelined TTM diverged from blocking under this schedule"
-        );
+        let y = try_dist_ttm(&grid, &x, 1, &m, Transpose::Yes).expect("fault-free TTM");
 
         let cfg = HooiConfig::hosi_dt().with_max_iters(2).with_seed(9);
         let res = dist_hooi(&grid, &x, &[3, 4, 2], &cfg);
-        let mut bits: Vec<u64> = y_on.local().data().iter().map(|v| v.to_bits()).collect();
+        let mut bits: Vec<u64> = y.local().data().iter().map(|v| v.to_bits()).collect();
         bits.push(res.rel_error.to_bits());
         for f in &res.tucker.factors {
             bits.extend(f.as_slice().iter().map(|v| v.to_bits()));

@@ -225,92 +225,6 @@ fn hooi_fit_is_monotone_and_matches_its_invariants() {
     }
 }
 
-/// `Overlap on` (the default) vs the blocking oracles, over the whole
-/// conformance matrix: same universe, same schedule, both paths run
-/// back-to-back on every rank — the gathered decompositions must match
-/// byte for byte (DESIGN.md §17's determinism contract, checked at the
-/// solver level rather than the kernel level).
-#[test]
-fn overlap_on_is_bitwise_identical_to_blocking_on_every_grid() {
-    for case in cases() {
-        let x = SyntheticSpec::new(&case.dims, &case.ranks, 0.02, case.seed).build::<f64>();
-        for grid_dims in &case.grids {
-            let p: usize = grid_dims.iter().product();
-            let ctx = format!("overlap d={} P={p} grid {grid_dims:?}", case.dims.len());
-            let gd = grid_dims.clone();
-            let ranks = case.ranks.clone();
-            let xg = x.clone();
-            let out = Universe::launch(p, move |c| {
-                let grid = CartGrid::new(c, &gd);
-                let xd = DistTensor::scatter_from_replicated(&grid, &xg);
-                set_overlap(OverlapMode::On);
-                let on = dist_sthosvd(&grid, &xd, &SthosvdTruncation::Ranks(ranks.clone()));
-                set_overlap(OverlapMode::Off);
-                let off = dist_sthosvd(&grid, &xd, &SthosvdTruncation::Ranks(ranks.clone()));
-                set_overlap(OverlapMode::On);
-                (
-                    (on.rel_error, on.tucker.gather(&grid)),
-                    (off.rel_error, off.tucker.gather(&grid)),
-                )
-            });
-            for (rank, (on, off)) in out.iter().enumerate() {
-                let rctx = format!("{ctx} rank {rank}");
-                assert_eq!(on.0.to_bits(), off.0.to_bits(), "{rctx}: rel_error");
-                for (j, (fa, fb)) in on.1.factors.iter().zip(&off.1.factors).enumerate() {
-                    let same = fa
-                        .as_slice()
-                        .iter()
-                        .zip(fb.as_slice())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(same, "{rctx}: factor {j} differs between overlap modes");
-                }
-                let same =
-                    on.1.core
-                        .data()
-                        .iter()
-                        .zip(off.1.core.data())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "{rctx}: core differs between overlap modes");
-            }
-        }
-    }
-}
-
-/// The ci smoke: P = 4 HOSI-DT HOOI with the mode-1 fiber spanning all
-/// four ranks (the deepest reduce-scatter pipeline), pipelined vs
-/// blocking, byte-compared. Small enough for the ci stall guard.
-#[test]
-fn p4_pipelined_hooi_matches_blocking_smoke() {
-    use ra_hooi::tucker::dist::dist_hooi;
-
-    let x = SyntheticSpec::new(&[12, 16, 10], &[3, 4, 2], 0.02, 4545).build::<f64>();
-    let out = Universe::launch(4, move |c| {
-        let grid = CartGrid::new(c, &[1, 4, 1]);
-        let xd = DistTensor::scatter_from_replicated(&grid, &x);
-        let cfg = HooiConfig::hosi_dt().with_max_iters(2).with_seed(5);
-        set_overlap(OverlapMode::On);
-        let on = dist_hooi(&grid, &xd, &[3, 4, 2], &cfg);
-        set_overlap(OverlapMode::Off);
-        let off = dist_hooi(&grid, &xd, &[3, 4, 2], &cfg);
-        set_overlap(OverlapMode::On);
-        let bits = |r: &ra_hooi::tucker::dist::DistRunResult<f64>| {
-            let mut v = vec![r.rel_error.to_bits()];
-            for f in &r.tucker.factors {
-                v.extend(f.as_slice().iter().map(|x| x.to_bits()));
-            }
-            v.extend(r.tucker.core.local().data().iter().map(|x| x.to_bits()));
-            v
-        };
-        (bits(&on), bits(&off))
-    });
-    for (rank, (on, off)) in out.iter().enumerate() {
-        assert_eq!(
-            on, off,
-            "rank {rank}: pipelined HOOI diverged from blocking"
-        );
-    }
-}
-
 /// Chaos: a straggler demotion fires while the pipelined TTM/SI
 /// collectives are in flight. The revocation must drain the split-phase
 /// requests as typed errors absorbed by the recovery protocol — the run
@@ -338,9 +252,9 @@ fn straggler_demotion_drains_inflight_pipeline_cleanly() {
                 .with_consecutive(1)
                 .with_min_secs(0.02),
         );
-        // Overlap defaults on: the sweeps leading up to the demotion run
-        // the pipelined kernels, so the verdict lands with split-phase
-        // requests posted on the victim's fibers.
+        // The sweeps leading up to the demotion run the slabbed kernels
+        // (mode 0 spans two ranks with right > 1), so the verdict lands
+        // with split-phase requests posted on the victim's fibers.
         match dist_ra_hooi_resilient(&grid, &x, &cfg, &res).expect("no rank errors out") {
             ResilientOutcome::Completed { result, report, .. } => {
                 assert_eq!(report.demoted_ranks, vec![VICTIM]);
