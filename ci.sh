@@ -64,11 +64,14 @@ fi
 echo "==> chaos smoke (single-threaded: fault scenarios share wall-clock budgets)"
 cargo test -q --offline --test chaos -- --test-threads=1
 
-echo "==> recovery chaos smoke (online shrink-and-continue + checkpoint fallback)"
+echo "==> recovery chaos smoke (online shrink-and-continue + checkpoint fallback; one RA driver, resilience off = plain)"
 cargo test -q --offline --test chaos -- --test-threads=1 \
   kill_one_of_eight_mid_sweep_recovers_online_within_1e10 \
   killing_rank_and_buddy_falls_back_to_checkpoint_cleanly \
   sampled_fault_plans_through_the_resilient_solver
+cargo test -q --offline -p ratucker --lib -- \
+  recover::tests::fault_free_resilient_run_is_bitwise_identical_to_plain \
+  recover::tests::resilience_off_returns_the_first_error_unchanged
 
 echo "==> gray-failure smoke (straggler demotion, retry healing, deadline fallback; 60 s guard)"
 GRAY_T0=$SECONDS

@@ -50,9 +50,7 @@ pub mod params;
 pub use params::{ParamError, Params};
 
 use ratucker::checkpoint::CheckpointPolicy;
-use ratucker::dist::{
-    dist_hooi, dist_ra_hooi, dist_ra_hooi_checkpointed, dist_sthosvd, DistRunResult,
-};
+use ratucker::dist::{dist_hooi, dist_sthosvd, DistRunResult};
 use ratucker::prelude::*;
 use ratucker::{dist_ra_hooi_resilient, ResilienceConfig, ResilientOutcome};
 use ratucker::{Timings, ALL_PHASES};
@@ -390,6 +388,22 @@ pub fn run_hooi_driver<T: IoScalar>(
                     (`HOOI-Adapt Threshold` > 0)"
             .into());
     }
+    // Validated before admission, which projects its peak ranks.
+    let ra = if adapt_eps > 0.0 {
+        let ra = RaConfig {
+            eps: adapt_eps,
+            alpha: params.f64_or("Rank Growth Factor", 1.5)?,
+            initial_ranks: ranks.clone(),
+            max_iters: cfg.max_iters,
+            stop_on_threshold: params.bool_or("Stop On Threshold", false)?,
+            inner: cfg.clone(),
+        };
+        ra.validate(x.shape().dims())
+            .map_err(|msg| format!("infeasible rank-adaptive configuration: {msg}"))?;
+        Some(ra)
+    } else {
+        None
+    };
     let p: usize = grid.iter().product();
     install_threads(threads(params)?);
     let deadline = deadline_policy(params)?;
@@ -401,19 +415,15 @@ pub fn run_hooi_driver<T: IoScalar>(
     let mem = match mem_budget(params)? {
         None => None,
         Some(budget) => {
-            // Worst-case ranks: α-growth every sweep, capped at dims.
-            let growth = if adapt_eps > 0.0 {
-                params
-                    .f64_or("Rank Growth Factor", 1.5)?
-                    .powi(cfg.max_iters.saturating_sub(1) as i32)
-            } else {
-                1.0
+            // Worst-case ranks: the driver's growth rule every sweep.
+            let peak_ranks: Vec<usize> = match &ra {
+                Some(ra) => ra.peak_ranks(x.shape().dims()),
+                None => ranks
+                    .iter()
+                    .zip(x.shape().dims())
+                    .map(|(&r, &n)| r.min(n))
+                    .collect(),
             };
-            let peak_ranks: Vec<usize> = ranks
-                .iter()
-                .zip(x.shape().dims())
-                .map(|(&r, &n)| (((r as f64) * growth).ceil() as usize).min(n))
-                .collect();
             let mp = MemProblem {
                 dims: x.shape().dims().to_vec(),
                 grid: grid.clone(),
@@ -446,29 +456,25 @@ pub fn run_hooi_driver<T: IoScalar>(
             }
         }
     };
-    let outcome = if adapt_eps > 0.0 {
-        let ra = RaConfig {
-            eps: adapt_eps,
-            alpha: params.f64_or("Rank Growth Factor", 1.5)?,
-            initial_ranks: ranks,
-            max_iters: cfg.max_iters,
-            stop_on_threshold: params.bool_or("Stop On Threshold", false)?,
-            inner: cfg,
-        };
-        ra.validate(x.shape().dims())
-            .map_err(|msg| format!("infeasible rank-adaptive configuration: {msg}"))?;
-        run_collective(
-            p,
-            &grid,
-            &x,
-            params.get("Trace out"),
-            deadline,
-            retry,
-            mem,
-            move |g, xd| match (&resilience, &ckpt) {
-                (Some(res), _) => {
+    let outcome = match ra {
+        Some(ra) => {
+            // Without a resilience flag the driver runs with resilience
+            // off, writing checkpoints if a policy is set.
+            let res = resilience.unwrap_or_else(|| ResilienceConfig {
+                checkpoint: ckpt,
+                ..ResilienceConfig::off()
+            });
+            run_collective(
+                p,
+                &grid,
+                &x,
+                params.get("Trace out"),
+                deadline,
+                retry,
+                mem,
+                move |g, xd| {
                     let out =
-                        dist_ra_hooi_resilient(g, xd, &ra, res).unwrap_or_else(|e| panic!("{e}"));
+                        dist_ra_hooi_resilient(g, xd, &ra, &res).unwrap_or_else(|e| panic!("{e}"));
                     match out {
                         ResilientOutcome::Completed { result, .. } => *result,
                         other => panic!(
@@ -477,13 +483,10 @@ pub fn run_hooi_driver<T: IoScalar>(
                             other.timings().summary()
                         ),
                     }
-                }
-                (None, Some(policy)) => dist_ra_hooi_checkpointed(g, xd, &ra, policy),
-                (None, None) => dist_ra_hooi(g, xd, &ra),
-            },
-        )
-    } else {
-        run_collective(
+                },
+            )
+        }
+        None => run_collective(
             p,
             &grid,
             &x,
@@ -492,7 +495,7 @@ pub fn run_hooi_driver<T: IoScalar>(
             retry,
             mem,
             move |g, xd| dist_hooi(g, xd, &ranks, &cfg),
-        )
+        ),
     };
     if let Some(prefix) = params.get("Output prefix") {
         write_tucker(prefix, &outcome.1)?;

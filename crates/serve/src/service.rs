@@ -506,21 +506,14 @@ fn run_compress(inner: &Inner, tenant: &str, spec: &CompressSpec) -> JobOutcome 
         resilience = resilience.with_checkpoint(policy.clone());
     }
 
-    // Admission control against the daemon budget: growth-capped
-    // worst-case ranks, as the CLI driver does.
+    // Admission control against the daemon budget: the ranks of a run
+    // that grows every sweep, as the CLI driver projects them.
     let mut start_rung = 0u8;
     if let Some(budget) = inner.cfg.mem_budget {
-        let growth = spec.alpha.powi(spec.max_iters.saturating_sub(1) as i32);
-        let peak_ranks: Vec<usize> = spec
-            .initial_ranks
-            .iter()
-            .zip(&spec.dims)
-            .map(|(&r, &n)| (((r as f64) * growth).ceil() as usize).min(n))
-            .collect();
         let prob = MemProblem {
             dims: spec.dims.clone(),
             grid: grid_dims.clone(),
-            ranks: peak_ranks,
+            ranks: ra.peak_ranks(&spec.dims),
             buddy_degree: resilience.buddy_degree,
             abft: resilience.abft != AbftMode::Off,
             elem_bytes: std::mem::size_of::<f64>(),

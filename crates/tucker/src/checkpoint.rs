@@ -16,10 +16,12 @@
 //! sweep draws exactly the columns the uninterrupted run would have.
 //!
 //! In the distributed driver the factors are replicated, so a single
-//! checkpoint file serves every rank: rank 0 writes it, and on resume
+//! checkpoint file serves every rank: rank 0 of the grid current at the
+//! save writes it (a shrink may change who that is), and on resume
 //! each rank reads the same file (writes are atomic via a temp-file
 //! rename, so a reader never observes a partial checkpoint).
 
+use crate::ra::RaConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ratucker_tensor::io::IoScalar;
@@ -343,7 +345,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Hook pair the rank-adaptive loops call around each sweep; the no-op
+/// Hooks the rank-adaptive loops call around their sweeps; the no-op
 /// implementation keeps the plain entry points free of any I/O bound.
 pub(crate) trait RaCheckpointer<T: Scalar> {
     /// Loads the state to resume from, if any.
@@ -354,8 +356,38 @@ pub(crate) trait RaCheckpointer<T: Scalar> {
         dims: &[usize],
         x_norm_sq: f64,
     ) -> Option<Checkpoint<T>>;
+    /// Whether the state entering `sweep` is to be saved.
+    fn saves(&self, sweep: usize) -> bool;
     /// Persists the state entering a sweep.
     fn save(&mut self, ck: &Checkpoint<T>);
+
+    /// Saves the state entering `sweep` if [`RaCheckpointer::saves`] it.
+    /// The factors are copied only then. In the distributed driver the
+    /// caller decides which rank writes: the state is replicated, so one
+    /// writer per grid suffices.
+    fn save_sweep(
+        &mut self,
+        config: &RaConfig,
+        sweep: usize,
+        x_norm_sq: f64,
+        dims: &[usize],
+        ranks: &[usize],
+        factors: &[Matrix<T>],
+    ) {
+        if !self.saves(sweep) {
+            return;
+        }
+        let _mem = ratucker_mem::with_phase(ratucker_mem::MemPhase::Checkpoint);
+        self.save(&Checkpoint {
+            sweep,
+            seed: config.inner.seed,
+            eps: config.eps,
+            x_norm_sq,
+            dims: dims.to_vec(),
+            ranks: ranks.to_vec(),
+            factors: factors.to_vec(),
+        });
+    }
 }
 
 /// Checkpointer that never saves or resumes.
@@ -365,16 +397,15 @@ impl<T: Scalar> RaCheckpointer<T> for NoCheckpoint {
     fn resume(&mut self, _: u64, _: f64, _: &[usize], _: f64) -> Option<Checkpoint<T>> {
         None
     }
+    fn saves(&self, _: usize) -> bool {
+        false
+    }
     fn save(&mut self, _: &Checkpoint<T>) {}
 }
 
 /// File-backed checkpointer driven by a [`CheckpointPolicy`].
-///
-/// `write` gates the save side: in the distributed driver only grid rank
-/// 0 writes (the state is replicated), while every rank resumes.
 pub(crate) struct FileCheckpointer<'a> {
     pub policy: &'a CheckpointPolicy,
-    pub write: bool,
 }
 
 impl<T: IoScalar> RaCheckpointer<T> for FileCheckpointer<'_> {
@@ -397,10 +428,11 @@ impl<T: IoScalar> RaCheckpointer<T> for FileCheckpointer<'_> {
         Some(ck)
     }
 
+    fn saves(&self, sweep: usize) -> bool {
+        self.policy.should_save(sweep)
+    }
+
     fn save(&mut self, ck: &Checkpoint<T>) {
-        if !self.write || !self.policy.should_save(ck.sweep) {
-            return;
-        }
         let path = self.policy.path_for(ck.sweep);
         ck.save(&path)
             .unwrap_or_else(|e| panic!("failed to write checkpoint {}: {e}", path.display()));

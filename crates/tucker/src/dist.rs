@@ -13,14 +13,12 @@
 //! local compute (DESIGN.md §17). Their results are bitwise independent
 //! of the slab count, so nothing here depends on how they slab.
 
-use crate::checkpoint::{
-    expansion_rng, Checkpoint, CheckpointPolicy, FileCheckpointer, NoCheckpoint, RaCheckpointer,
-};
-use crate::core_analysis::analyze_core;
+use crate::checkpoint::{CheckpointPolicy, FileCheckpointer, NoCheckpoint, RaCheckpointer};
 use crate::hooi::{HooiConfig, LlsvStrategy, TtmStrategy};
 use crate::llsv::robust_sym_evd;
 use crate::llsv::Truncation;
 use crate::ra::RaConfig;
+use crate::recover::{ra_driver, ResilienceConfig, ResilientOutcome};
 use crate::sthosvd::SthosvdTruncation;
 use crate::timings::{Phase, Timings};
 use crate::tucker_tensor::TuckerTensor;
@@ -33,7 +31,6 @@ use ratucker_mpi::CartGrid;
 use ratucker_mpi::CommError;
 use ratucker_tensor::io::IoScalar;
 use ratucker_tensor::matrix::Matrix;
-use ratucker_tensor::random::{normal_matrix, orthonormalize_columns};
 use ratucker_tensor::scalar::Scalar;
 use ratucker_tensor::ttm::Transpose;
 
@@ -98,7 +95,8 @@ pub(crate) struct SweepCtx {
 }
 
 impl SweepCtx {
-    /// Context with checksums disabled (the legacy panicking drivers).
+    /// Context with checksums disabled (the fixed-rank drivers
+    /// [`dist_sthosvd`] and [`dist_hooi`]).
     pub fn off() -> Self {
         SweepCtx::new(AbftMode::Off)
     }
@@ -451,13 +449,17 @@ pub fn dist_hooi<T: Scalar>(
 ///
 /// The core is allgathered (cost `r^d`, the Table 2 "Core Analysis" row)
 /// and the eq.-(3) search runs redundantly on every rank, so truncation
-/// decisions are identical everywhere without extra coordination.
+/// decisions are identical everywhere without extra coordination. This
+/// is the driver of [`crate::recover`] with [`ResilienceConfig::off`].
+///
+/// # Panics
+/// Panics with the error's message on the first communication error.
 pub fn dist_ra_hooi<T: Scalar>(
     grid: &CartGrid,
     x: &DistTensor<T>,
     config: &RaConfig,
 ) -> DistRunResult<T> {
-    dist_ra_hooi_impl(grid, x, config, &mut NoCheckpoint)
+    ra_driver_off(grid, x, config, &mut NoCheckpoint)
 }
 
 /// Distributed rank-adaptive HOOI with checkpoint/restart. Collective.
@@ -472,153 +474,30 @@ pub fn dist_ra_hooi<T: Scalar>(
 ///
 /// # Panics
 /// Panics if a checkpoint exists but cannot be read or does not match
-/// this run's seed/ε/tensor (see [`Checkpoint::validate`]).
+/// this run's seed/ε/tensor (see [`crate::checkpoint::Checkpoint::validate`]),
+/// and with the error's message on the first communication error.
 pub fn dist_ra_hooi_checkpointed<T: IoScalar>(
     grid: &CartGrid,
     x: &DistTensor<T>,
     config: &RaConfig,
     policy: &CheckpointPolicy,
 ) -> DistRunResult<T> {
-    let mut ckpt = FileCheckpointer {
-        policy,
-        write: grid.comm.rank() == 0,
-    };
-    dist_ra_hooi_impl(grid, x, config, &mut ckpt)
+    ra_driver_off(grid, x, config, &mut FileCheckpointer { policy })
 }
 
-fn dist_ra_hooi_impl<T: Scalar>(
+/// Runs the driver with resilience off: it either completes or fails
+/// with the first error, which becomes a panic as in the other plain
+/// drivers.
+fn ra_driver_off<T: Scalar>(
     grid: &CartGrid,
     x: &DistTensor<T>,
     config: &RaConfig,
     ckpt: &mut impl RaCheckpointer<T>,
 ) -> DistRunResult<T> {
-    let dims: Vec<usize> = x.global_shape().dims().to_vec();
-    if let Err(msg) = config.validate(&dims) {
-        panic!("infeasible rank-adaptive configuration: {msg}");
-    }
-    let x_norm_sq = x.squared_norm(grid);
-    let threshold = (1.0 - config.eps * config.eps) * x_norm_sq;
-
-    let mut ranks: Vec<usize> = config
-        .initial_ranks
-        .iter()
-        .zip(&dims)
-        .map(|(&r, &n)| r.min(n).max(1))
-        .collect();
-    let mut factors = crate::hooi::random_init::<T>(&dims, &ranks, config.inner.seed);
-    let mut start_sweep = 0;
-    if let Some(ck) = ckpt.resume(config.inner.seed, config.eps, &dims, x_norm_sq) {
-        assert!(
-            ck.sweep < config.max_iters,
-            "checkpoint is at sweep {} but this run caps at {} sweeps",
-            ck.sweep,
-            config.max_iters
-        );
-        start_sweep = ck.sweep;
-        ranks = ck.ranks;
-        factors = ck.factors;
-    }
-
-    let mut timings = Timings::new();
-    let mut sweep_errors = Vec::new();
-    let mut sweep_ranks = Vec::new();
-    let mut result_core: Option<DistTensor<T>> = None;
-    let mut met = false;
-
-    for it in start_sweep..config.max_iters {
-        ckpt.save(&Checkpoint {
-            sweep: it,
-            seed: config.inner.seed,
-            eps: config.eps,
-            x_norm_sq,
-            dims: dims.clone(),
-            ranks: ranks.clone(),
-            factors: factors.clone(),
-        });
-        let core = try_dist_sweep(
-            grid,
-            x,
-            &mut factors,
-            &ranks,
-            &config.inner,
-            &mut timings,
-            &mut SweepCtx::off(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        let core_norm_sq = core.squared_norm(grid);
-        let met_now = core_norm_sq >= threshold;
-
-        if met_now {
-            met = true;
-            // Gather the (small) core everywhere and truncate redundantly.
-            let core_repl = timings.time(Phase::Other, || core.gather_replicated(grid));
-            let analysis = timings.time(Phase::CoreAnalysis, || {
-                let _s = ratucker_obs::span(&grid.comm, "CoreAnalysis");
-                analyze_core(&core_repl, &dims, x_norm_sq, config.eps)
-            });
-            if let Some(a) = analysis {
-                // Keep ranks at least the grid dims so local blocks stay
-                // nonempty (a distributed-implementation constraint the
-                // sequential path does not have).
-                let new_ranks: Vec<usize> = a
-                    .ranks
-                    .iter()
-                    .zip(grid.dims())
-                    .map(|(&r, &p)| r.max(p))
-                    .collect();
-                let full = TuckerTensor::new(core_repl, factors.clone());
-                let trunc = full.truncate(&new_ranks);
-                ranks = new_ranks;
-                factors = trunc.factors.clone();
-                result_core = Some(DistTensor::scatter_from_replicated(grid, &trunc.core));
-                let err = trunc.rel_error_from_core(x_norm_sq);
-                sweep_errors.push(err);
-            } else {
-                result_core = Some(core);
-                sweep_errors.push(((x_norm_sq - core_norm_sq).max(0.0) / x_norm_sq).sqrt());
-            }
-            sweep_ranks.push(ranks.clone());
-            if config.stop_on_threshold {
-                break;
-            }
-        } else {
-            sweep_errors.push(((x_norm_sq - core_norm_sq).max(0.0) / x_norm_sq).sqrt());
-            result_core = Some(core);
-            let grown: Vec<usize> = ranks
-                .iter()
-                .zip(&dims)
-                .map(|(&r, &n)| (((r as f64) * config.alpha).ceil() as usize).min(n))
-                .collect();
-            if grown != ranks {
-                // Same per-sweep RNG derivation as the sequential path:
-                // pure in (seed, sweep), so all ranks and any resumed run
-                // append identical columns.
-                let mut rng = expansion_rng(config.inner.seed, it);
-                for (k, u) in factors.iter_mut().enumerate() {
-                    if grown[k] > u.cols() {
-                        let extra = normal_matrix::<T, _>(u.rows(), grown[k] - u.cols(), &mut rng);
-                        let mut ext = u.hcat(&extra);
-                        orthonormalize_columns(&mut ext, u.cols());
-                        *u = ext;
-                    }
-                }
-                ranks = grown;
-            }
-            sweep_ranks.push(ranks.clone());
-        }
-    }
-
-    let _ = met;
-    let rel_error = *sweep_errors.last().unwrap();
-    DistRunResult {
-        tucker: DistTucker {
-            core: result_core.expect("max_iters must be at least 1"),
-            factors,
-        },
-        rel_error,
-        timings,
-        sweep_errors,
-        sweep_ranks,
+    let out = ra_driver(grid, x, config, &ResilienceConfig::off(), ckpt);
+    match out.unwrap_or_else(|e| panic!("{e}")) {
+        ResilientOutcome::Completed { result, .. } => *result,
+        other => panic!("a run without recovery ended as `{}`", other.kind_label()),
     }
 }
 

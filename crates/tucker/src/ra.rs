@@ -7,20 +7,46 @@
 //! columns to the factors) and sweep again. Any TTM/LLSV strategy pair can
 //! back the sweep; the paper's flagship is the dimension-tree + subspace-
 //! iteration combination (RA-HOSI-DT).
+//!
+//! The steps of that loop that do not depend on how the tensor is laid
+//! out live here, shared by the sequential solver ([`ra_hooi`], the P = 1
+//! oracle) and the one distributed driver (`crate::recover`): the initial
+//! rank clamp (`RaConfig::start_ranks`), checkpoint resume
+//! (`start_state`), the post-sweep decision (`RaConfig::decide`), the
+//! α-growth rule (`RaConfig::grow`) and the factor expansion
+//! (`expand_factors`).
 
 use crate::checkpoint::{
-    expansion_rng, Checkpoint, CheckpointPolicy, FileCheckpointer, NoCheckpoint, RaCheckpointer,
+    expansion_rng, CheckpointPolicy, FileCheckpointer, NoCheckpoint, RaCheckpointer,
 };
 use crate::core_analysis::analyze_core;
 use crate::hooi::{run_sweep, HooiConfig};
 use crate::timings::{Phase, Timings};
 use crate::tucker_tensor::TuckerTensor;
-use rand::rngs::StdRng;
 use ratucker_tensor::dense::DenseTensor;
 use ratucker_tensor::io::IoScalar;
 use ratucker_tensor::matrix::Matrix;
 use ratucker_tensor::random::{normal_matrix, orthonormalize_columns};
 use ratucker_tensor::scalar::Scalar;
+
+/// Highest rung of the graceful-degradation ladder that still makes
+/// forward progress. The rungs (see `DESIGN.md` §14):
+///
+/// * **0** — normal operation: monolithic TTM reduce-scatter, one-shot
+///   Gram assembly.
+/// * **1** — chunked TTM: the packed slab is reduced one destination
+///   block at a time, bounding the staging buffer by the largest single
+///   block instead of the whole slab.
+/// * **2** — streamed Gram: the unfolding columns are assembled and
+///   accumulated into the Gram matrix in batches instead of one
+///   full-width scratch matrix.
+/// * **3** — rank growth frozen: the expansion step is skipped, capping
+///   factor/core memory at the current ranks. Growth is the one step
+///   that *increases* the working set; the sweeps still improve the
+///   factors at the current ranks.
+/// * **> 3** — nothing left to shed: the distributed driver falls back
+///   to the checkpoint.
+pub(crate) const RUNG_FREEZE: u8 = 3;
 
 /// Configuration of a rank-adaptive run.
 #[derive(Clone, Debug)]
@@ -37,6 +63,22 @@ pub struct RaConfig {
     pub stop_on_threshold: bool,
     /// The sweep engine (TTM/LLSV strategies, seed).
     pub inner: HooiConfig,
+}
+
+/// What the rank-adaptive loop does after a sweep (Alg. 3 lines 5–9).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum RaStep {
+    /// The tolerance held: truncate core and factors to these ranks
+    /// (eq. 3, floored).
+    Truncate(Vec<usize>),
+    /// The tolerance held, but rounding left no leading subtensor that
+    /// meets it: keep the full decomposition.
+    Keep,
+    /// The tolerance missed: grow to these ranks (capped at the
+    /// dimensions, so they may equal the current ranks).
+    Grow(Vec<usize>),
+    /// The tolerance missed under memory pressure: keep the ranks.
+    Freeze,
 }
 
 impl RaConfig {
@@ -117,6 +159,125 @@ impl RaConfig {
         }
         Ok(())
     }
+
+    /// The ranks of the first sweep: the initial guesses clamped to the
+    /// tensor dimensions.
+    ///
+    /// # Panics
+    /// Panics if the configuration is infeasible ([`RaConfig::validate`]).
+    pub(crate) fn start_ranks(&self, dims: &[usize]) -> Vec<usize> {
+        if let Err(msg) = self.validate(dims) {
+            panic!("infeasible rank-adaptive configuration: {msg}");
+        }
+        self.initial_ranks
+            .iter()
+            .zip(dims)
+            .map(|(&r, &n)| r.min(n).max(1))
+            .collect()
+    }
+
+    /// One growth step (Alg. 3 line 9): `r ← min(⌈α·r⌉, n)` per mode.
+    pub(crate) fn grow(&self, ranks: &[usize], dims: &[usize]) -> Vec<usize> {
+        ranks
+            .iter()
+            .zip(dims)
+            .map(|(&r, &n)| (((r as f64) * self.alpha).ceil() as usize).min(n))
+            .collect()
+    }
+
+    /// The ranks of the last sweep of a run that misses the tolerance at
+    /// every sweep: the growth rule `min(⌈α·r⌉, n)` applied
+    /// `max_iters − 1` times to the initial ranks clamped to the
+    /// dimensions. No sweep of any run with this configuration runs
+    /// at larger ranks, so admission control budgets for these.
+    ///
+    /// # Panics
+    /// Panics if the configuration is infeasible ([`RaConfig::validate`]).
+    pub fn peak_ranks(&self, dims: &[usize]) -> Vec<usize> {
+        let mut ranks = self.start_ranks(dims);
+        for _ in 1..self.max_iters {
+            ranks = self.grow(&ranks, dims);
+        }
+        ranks
+    }
+
+    /// The post-sweep decision, a pure function of the sweep's outcome:
+    /// `met` is the threshold test, `analysis` the eq.-(3) ranks (computed
+    /// only when `met`), `floor` the per-mode minimum a truncation may
+    /// keep, and `rung` the agreed memory-degradation rung.
+    pub(crate) fn decide(
+        &self,
+        met: bool,
+        analysis: Option<&[usize]>,
+        ranks: &[usize],
+        dims: &[usize],
+        floor: &[usize],
+        rung: u8,
+    ) -> RaStep {
+        match (met, analysis) {
+            (true, Some(a)) => {
+                RaStep::Truncate(a.iter().zip(floor).map(|(&r, &f)| r.max(f)).collect())
+            }
+            (true, None) => RaStep::Keep,
+            (false, _) if rung >= RUNG_FREEZE => RaStep::Freeze,
+            (false, _) => RaStep::Grow(self.grow(ranks, dims)),
+        }
+    }
+}
+
+/// The state entering the first sweep a run executes: `(sweep, ranks,
+/// factors)`. A fresh run starts at sweep 0 from the clamped initial
+/// ranks and seeded random factors; a resumed run starts from the
+/// checkpointer's latest state.
+///
+/// # Panics
+/// Panics if the configuration is infeasible, or if the checkpoint lies
+/// at or past the sweep cap.
+pub(crate) fn start_state<T: Scalar>(
+    config: &RaConfig,
+    dims: &[usize],
+    x_norm_sq: f64,
+    ckpt: &mut impl RaCheckpointer<T>,
+) -> (usize, Vec<usize>, Vec<Matrix<T>>) {
+    let ranks = config.start_ranks(dims);
+    match ckpt.resume(config.inner.seed, config.eps, dims, x_norm_sq) {
+        Some(ck) => {
+            assert!(
+                ck.sweep < config.max_iters,
+                "checkpoint is at sweep {} but this run caps at {} sweeps",
+                ck.sweep,
+                config.max_iters
+            );
+            (ck.sweep, ck.ranks, ck.factors)
+        }
+        None => {
+            let factors = crate::hooi::random_init::<T>(dims, &ranks, config.inner.seed);
+            (0, ranks, factors)
+        }
+    }
+}
+
+/// Widens every factor to `ranks[k]` columns by appending random columns
+/// orthonormalized against the existing basis. The columns come from
+/// [`expansion_rng`]`(seed, sweep)` in mode order, and a mode already at
+/// its rank draws none, so every rank of a grid, a retried sweep and a
+/// resumed run all append the same columns.
+pub(crate) fn expand_factors<T: Scalar>(
+    factors: &mut [Matrix<T>],
+    ranks: &[usize],
+    seed: u64,
+    sweep: usize,
+) {
+    let _mem = ratucker_mem::with_phase(ratucker_mem::MemPhase::Factors);
+    let mut rng = expansion_rng(seed, sweep);
+    for (u, &r) in factors.iter_mut().zip(ranks) {
+        if r > u.cols() {
+            let extra = normal_matrix::<T, _>(u.rows(), r - u.cols(), &mut rng);
+            let mut ext = u.hcat(&extra);
+            orthonormalize_columns(&mut ext, u.cols());
+            *u = ext;
+        }
+    }
 }
 
 /// One sweep of the rank-adaptive loop.
@@ -153,17 +314,6 @@ pub struct RaResult<T: Scalar> {
     pub rel_error: f64,
 }
 
-/// Grows a factor matrix from `r` to `r_new` columns by appending random
-/// columns orthonormalized against the existing basis.
-fn expand_factor<T: Scalar>(u: &Matrix<T>, r_new: usize, rng: &mut StdRng) -> Matrix<T> {
-    let r_old = u.cols();
-    debug_assert!(r_new > r_old);
-    let extra = normal_matrix::<T, _>(u.rows(), r_new - r_old, rng);
-    let mut ext = u.hcat(&extra);
-    orthonormalize_columns(&mut ext, r_old);
-    ext
-}
-
 /// Runs rank-adaptive HOOI (Alg. 3).
 pub fn ra_hooi<T: Scalar>(x: &DenseTensor<T>, config: &RaConfig) -> RaResult<T> {
     ra_hooi_impl(x, config, &mut NoCheckpoint)
@@ -180,20 +330,13 @@ pub fn ra_hooi<T: Scalar>(x: &DenseTensor<T>, config: &RaConfig) -> RaResult<T> 
 ///
 /// # Panics
 /// Panics if a checkpoint exists but cannot be read, or does not match
-/// this run's seed/ε/tensor (see [`Checkpoint::validate`]).
+/// this run's seed/ε/tensor (see [`crate::checkpoint::Checkpoint::validate`]).
 pub fn ra_hooi_checkpointed<T: IoScalar>(
     x: &DenseTensor<T>,
     config: &RaConfig,
     policy: &CheckpointPolicy,
 ) -> RaResult<T> {
-    ra_hooi_impl(
-        x,
-        config,
-        &mut FileCheckpointer {
-            policy,
-            write: true,
-        },
-    )
+    ra_hooi_impl(x, config, &mut FileCheckpointer { policy })
 }
 
 fn ra_hooi_impl<T: Scalar>(
@@ -202,31 +345,11 @@ fn ra_hooi_impl<T: Scalar>(
     ckpt: &mut impl RaCheckpointer<T>,
 ) -> RaResult<T> {
     let dims: Vec<usize> = x.shape().dims().to_vec();
-    if let Err(msg) = config.validate(&dims) {
-        panic!("infeasible rank-adaptive configuration: {msg}");
-    }
     let x_norm_sq = x.squared_norm_f64();
     let threshold = (1.0 - config.eps * config.eps) * x_norm_sq;
-
-    let mut ranks: Vec<usize> = config
-        .initial_ranks
-        .iter()
-        .zip(&dims)
-        .map(|(&r, &n)| r.min(n).max(1))
-        .collect();
-    let mut factors = crate::hooi::random_init::<T>(&dims, &ranks, config.inner.seed);
-    let mut start_sweep = 0;
-    if let Some(ck) = ckpt.resume(config.inner.seed, config.eps, &dims, x_norm_sq) {
-        assert!(
-            ck.sweep < config.max_iters,
-            "checkpoint is at sweep {} but this run caps at {} sweeps",
-            ck.sweep,
-            config.max_iters
-        );
-        start_sweep = ck.sweep;
-        ranks = ck.ranks;
-        factors = ck.factors;
-    }
+    let (start_sweep, mut ranks, mut factors) = start_state(config, &dims, x_norm_sq, ckpt);
+    // Sequential truncation needs no floor beyond rank 1.
+    let floor = vec![1; dims.len()];
 
     let mut iterations: Vec<RaIterInfo> = Vec::new();
     let mut met_at = None;
@@ -234,79 +357,56 @@ fn ra_hooi_impl<T: Scalar>(
     let mut tucker: Option<TuckerTensor<T>> = None;
 
     for it in start_sweep..config.max_iters {
-        ckpt.save(&Checkpoint {
-            sweep: it,
-            seed: config.inner.seed,
-            eps: config.eps,
-            x_norm_sq,
-            dims: dims.clone(),
-            ranks: ranks.clone(),
-            factors: factors.clone(),
-        });
+        ckpt.save_sweep(config, it, x_norm_sq, &dims, &ranks, &factors);
         let mut t = Timings::new();
         let core = run_sweep(x, &mut factors, &ranks, &config.inner, &mut t);
-        let core_norm_sq = core.squared_norm_f64();
-        let met = core_norm_sq >= threshold;
-
-        let ranks_in = ranks.clone();
-        let (truncated, ranks_out, rel_error);
-        if met {
-            // Alg. 3 lines 6-7: optimal leading truncation via eq. (3).
-            let analysis = t.time(Phase::CoreAnalysis, || {
+        let met = core.squared_norm_f64() >= threshold;
+        let analysis = if met {
+            t.time(Phase::CoreAnalysis, || {
                 analyze_core(&core, &dims, x_norm_sq, config.eps)
-            });
-            let full = TuckerTensor::new(core, factors.clone());
-            let chosen = match analysis {
-                Some(a) => full.truncate(&a.ranks),
-                // Rounding put ‖G‖² a hair above the threshold while every
-                // prefix fell below: keep the full decomposition.
-                None => full,
-            };
-            ranks = chosen.ranks();
-            factors = chosen.factors.clone();
-            ranks_out = ranks.clone();
-            rel_error = chosen.rel_error_from_core(x_norm_sq);
-            truncated = true;
-            if met_at.is_none() {
-                met_at = Some(it);
-            }
-            tucker = Some(chosen);
+            })
         } else {
-            // Alg. 3 line 9: grow ranks by α, capped at the dimensions.
-            let full = TuckerTensor::new(core, factors.clone());
-            rel_error = full.rel_error_from_core(x_norm_sq);
-            tucker = Some(full);
-            let grown: Vec<usize> = ranks
-                .iter()
-                .zip(&dims)
-                .map(|(&r, &n)| (((r as f64) * config.alpha).ceil() as usize).min(n))
-                .collect();
-            if grown != ranks {
-                // The growth RNG is a pure function of (seed, sweep) so a
-                // checkpoint-resumed run draws the same columns.
-                let mut rng = expansion_rng(config.inner.seed, it);
-                for (k, u) in factors.iter_mut().enumerate() {
-                    if grown[k] > u.cols() {
-                        *u = expand_factor(u, grown[k], &mut rng);
-                    }
-                }
-                ranks = grown;
+            None
+        };
+        let ranks_in = ranks.clone();
+        let full = TuckerTensor::new(core, factors.clone());
+        // The sequential solver has no memory-degradation ladder: rung 0.
+        let step = config.decide(
+            met,
+            analysis.as_ref().map(|a| a.ranks.as_slice()),
+            &ranks,
+            &dims,
+            &floor,
+            0,
+        );
+        let chosen = match step {
+            RaStep::Truncate(r) => {
+                let chosen = full.truncate(&r);
+                factors = chosen.factors.clone();
+                ranks = r;
+                chosen
             }
-            ranks_out = ranks.clone();
-            truncated = false;
+            RaStep::Grow(grown) => {
+                expand_factors(&mut factors, &grown, config.inner.seed, it);
+                ranks = grown;
+                full
+            }
+            RaStep::Keep | RaStep::Freeze => full,
+        };
+        if met && met_at.is_none() {
+            met_at = Some(it);
         }
-
-        let relative_size = tucker.as_ref().unwrap().relative_size();
         total.merge(&t);
         iterations.push(RaIterInfo {
             ranks_in,
-            ranks_out,
-            rel_error,
+            ranks_out: ranks.clone(),
+            rel_error: chosen.rel_error_from_core(x_norm_sq),
             met_threshold: met,
-            truncated,
-            relative_size,
+            truncated: met,
+            relative_size: chosen.relative_size(),
             timings: t,
         });
+        tucker = Some(chosen);
         if met && config.stop_on_threshold {
             break;
         }
@@ -371,6 +471,94 @@ mod tests {
         // α = 1 would stall rank growth forever; reject before sweeping.
         let cfg = RaConfig::ra_hosi_dt(0.1, &[4, 3, 3]).with_alpha(1.0);
         let _ = ra_hooi(&x, &cfg);
+    }
+
+    #[test]
+    fn peak_ranks_are_the_ranks_of_the_last_sweep_of_an_always_growing_run() {
+        let x = noisy_tensor(59);
+        let dims = [14usize, 12, 10];
+        // A tolerance no sweep meets: the ranks grow after every sweep.
+        let cfg = RaConfig::ra_hosi_dt(1e-9, &[3, 3, 3]).with_seed(10);
+        let res = ra_hooi(&x, &cfg);
+        assert!(res.iterations.iter().all(|i| !i.met_threshold));
+        let last = &res.iterations.last().unwrap().ranks_in;
+        assert_eq!(cfg.peak_ranks(&dims), *last);
+        // ⌈⌈3·1.5⌉·1.5⌉ = 8, where ⌈3·1.5²⌉ = 7 under-counts.
+        assert_eq!(*last, vec![8, 8, 8]);
+        // Growth stops at the dimensions.
+        let capped = RaConfig::ra_hosi_dt(0.1, &[3, 3, 3]).with_max_iters(9);
+        assert_eq!(capped.peak_ranks(&dims), dims.to_vec());
+    }
+
+    #[test]
+    fn decision_truncates_to_the_analysis_floored() {
+        let cfg = RaConfig::ra_hosi_dt(0.1, &[4, 4, 4]);
+        let step = cfg.decide(
+            true,
+            Some(&[1, 3, 2]),
+            &[4, 4, 4],
+            &[9, 9, 9],
+            &[2, 2, 2],
+            0,
+        );
+        assert_eq!(step, RaStep::Truncate(vec![2, 3, 2]));
+        // A met threshold truncates even at the freeze rung.
+        let frozen = cfg.decide(
+            true,
+            Some(&[3, 3, 3]),
+            &[4, 4, 4],
+            &[9, 9, 9],
+            &[1, 1, 1],
+            3,
+        );
+        assert_eq!(frozen, RaStep::Truncate(vec![3, 3, 3]));
+    }
+
+    #[test]
+    fn decision_keeps_the_decomposition_when_no_prefix_meets_the_threshold() {
+        let cfg = RaConfig::ra_hosi_dt(0.1, &[4, 4, 4]);
+        let step = cfg.decide(true, None, &[4, 4, 4], &[9, 9, 9], &[1, 1, 1], 0);
+        assert_eq!(step, RaStep::Keep);
+    }
+
+    #[test]
+    fn decision_grows_by_alpha_capped_at_the_dimensions() {
+        let cfg = RaConfig::ra_hosi_dt(0.1, &[4, 4, 4]);
+        let step = cfg.decide(false, None, &[4, 4, 3], &[5, 9, 9], &[1, 1, 1], 2);
+        assert_eq!(step, RaStep::Grow(vec![5, 6, 5]));
+        let at_cap = cfg.decide(false, None, &[5, 9, 9], &[5, 9, 9], &[1, 1, 1], 0);
+        assert_eq!(at_cap, RaStep::Grow(vec![5, 9, 9]));
+    }
+
+    #[test]
+    fn decision_freezes_growth_from_the_freeze_rung_up() {
+        let cfg = RaConfig::ra_hosi_dt(0.1, &[4, 4, 4]);
+        for rung in [RUNG_FREEZE, RUNG_FREEZE + 1] {
+            let step = cfg.decide(false, None, &[4, 4, 4], &[9, 9, 9], &[1, 1, 1], rung);
+            assert_eq!(step, RaStep::Freeze, "rung {rung}");
+        }
+    }
+
+    #[test]
+    fn expansion_draws_columns_only_for_modes_that_grow() {
+        let dims = [6usize, 5, 4];
+        let start = crate::hooi::random_init::<f64>(&dims, &[2, 2, 2], 5);
+        // Ranks already reached: nothing is drawn, nothing changes.
+        let mut same = start.clone();
+        expand_factors(&mut same, &[2, 2, 2], 5, 1);
+        for (a, b) in same.iter().zip(&start) {
+            assert_eq!(a.as_slice(), b.as_slice());
+        }
+        // Only mode 1 grows, so it takes the sweep RNG's first draws:
+        // the same columns as if it were the only factor.
+        let mut grown = start.clone();
+        expand_factors(&mut grown, &[2, 4, 2], 5, 1);
+        let mut alone = vec![start[1].clone()];
+        expand_factors(&mut alone, &[4], 5, 1);
+        assert_eq!(grown[1].cols(), 4);
+        assert_eq!(grown[1].as_slice(), alone[0].as_slice());
+        assert_eq!(grown[0].as_slice(), start[0].as_slice());
+        assert_eq!(grown[2].as_slice(), start[2].as_slice());
     }
 
     #[test]

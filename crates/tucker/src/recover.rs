@@ -1,7 +1,13 @@
-//! Online shrink-and-continue recovery for distributed RA-HOSI-DT.
+//! The distributed rank-adaptive HOOI driver, with online
+//! shrink-and-continue recovery.
 //!
-//! [`dist_ra_hooi_resilient`] runs the rank-adaptive HOOI loop with the
-//! full fault-tolerance stack from the lower layers wired together:
+//! [`dist_ra_hooi_resilient`] runs Alg. 3's loop (sweep, threshold
+//! test, truncate or grow) with the fault-tolerance stack from the
+//! lower layers wired around it. It is the only distributed RA-HOOI
+//! loop: [`crate::dist::dist_ra_hooi`] and
+//! [`crate::dist::dist_ra_hooi_checkpointed`] run it with
+//! [`ResilienceConfig::off`], so a fault-free resilient run is bit for
+//! bit the plain one. The stack:
 //!
 //! 1. **ABFT checksums** ([`ratucker_dist::AbftMode`]) on every Gram
 //!    and TTM collective; in `Recover` mode a poisoned contraction is
@@ -33,12 +39,10 @@
 //! only divergence from the fault-free run is reduction order on the
 //! new grid — O(ε) roundoff, which the chaos suite bounds at 1e-10.
 
-use crate::checkpoint::{
-    expansion_rng, Checkpoint, CheckpointPolicy, FileCheckpointer, RaCheckpointer,
-};
+use crate::checkpoint::{CheckpointPolicy, FileCheckpointer, NoCheckpoint, RaCheckpointer};
 use crate::core_analysis::analyze_core;
 use crate::dist::{try_dist_sweep, AbftStats, DistRunResult, DistTucker, SweepCtx};
-use crate::ra::RaConfig;
+use crate::ra::{expand_factors, start_state, RaConfig, RaStep, RUNG_FREEZE};
 use crate::timings::{Phase, Timings};
 use crate::tucker_tensor::TuckerTensor;
 use ratucker_dist::{
@@ -49,8 +53,8 @@ use ratucker_mpi::{choose_shrunk_dims, try_rebuild_grid, CartGrid, CommError, Sh
 use ratucker_obs::{StragglerDetector, StragglerPolicy};
 use ratucker_tensor::io::IoScalar;
 use ratucker_tensor::matrix::Matrix;
-use ratucker_tensor::random::{normal_matrix, orthonormalize_columns};
 use ratucker_tensor::scalar::Scalar;
+use std::borrow::Cow;
 
 /// Configuration of the online-recovery stack.
 #[derive(Clone, Debug)]
@@ -68,7 +72,9 @@ pub struct ResilienceConfig {
     /// has something to resume from.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Upper bound on recovery rounds (shrinks + transient retries)
-    /// before the run gives up and surfaces the triggering error.
+    /// before the run gives up and surfaces the triggering error. `0`
+    /// returns the first error as it is, with no revoke, agreement or
+    /// fallback, and skips the per-sweep factor snapshot.
     pub max_recoveries: usize,
     /// Optional straggler demotion: after every committed sweep the
     /// induced-wait deltas are fed to a [`StragglerPolicy`] detector,
@@ -91,6 +97,19 @@ impl Default for ResilienceConfig {
 }
 
 impl ResilienceConfig {
+    /// Every mechanism off: no replication, no checksums, no straggler
+    /// policy and no recovery round, so the first error ends the run
+    /// unchanged. [`crate::dist::dist_ra_hooi`] runs the driver so.
+    pub fn off() -> Self {
+        ResilienceConfig {
+            buddy_degree: 0,
+            abft: AbftMode::Off,
+            checkpoint: None,
+            max_recoveries: 0,
+            straggler: None,
+        }
+    }
+
     /// Sets the replication degree.
     pub fn with_buddy_degree(mut self, k: usize) -> Self {
         self.buddy_degree = k;
@@ -134,7 +153,8 @@ pub struct RecoveryReport {
     /// ABFT detection / recomputation counters.
     pub abft: AbftStats,
     /// Highest rung of the graceful-degradation ladder the run reached
-    /// under memory pressure (`0` = never degraded; see [`RUNG_FREEZE`]).
+    /// under memory pressure (`0` = never degraded, `3` = rank growth
+    /// frozen; `DESIGN.md` §14 lists the rungs).
     pub max_rung: u8,
 }
 
@@ -249,23 +269,6 @@ fn is_failure(e: &CommError) -> bool {
             | CommError::BudgetExceeded { .. }
     )
 }
-
-/// Highest rung of the graceful-degradation ladder that still makes
-/// forward progress. The rungs (see `DESIGN.md` §14):
-///
-/// * **0** — normal operation: monolithic TTM reduce-scatter, one-shot
-///   Gram assembly.
-/// * **1** — chunked TTM: the packed slab is reduced one destination
-///   block at a time, bounding the staging buffer by the largest single
-///   block instead of the whole slab.
-/// * **2** — streamed Gram: the unfolding columns are assembled and
-///   accumulated into the Gram matrix in batches instead of one
-///   full-width scratch matrix.
-/// * **3** — rank growth frozen: the expansion step of RA-HOSI-DT is
-///   skipped, capping factor/core memory at the current ranks.
-/// * **> 3** — nothing left to shed: clean
-///   [`ResilientOutcome::FallbackToCheckpoint`].
-const RUNG_FREEZE: u8 = 3;
 
 /// One recovery round: revoke → agree → (if members died) advertise
 /// replica holdings, designate restorers, shrink, re-block. Collective
@@ -395,7 +398,7 @@ enum RoundsOutcome {
 /// ([`ratucker_mpi::Fabric::resolve_blame`]), not taken at face value.
 fn recovery_rounds<T: Scalar>(
     grid: &mut CartGrid,
-    x: &mut DistTensor<T>,
+    x: &mut Cow<'_, DistTensor<T>>,
     buddies: &mut BuddyStore<T>,
     res: &ResilienceConfig,
     report: &mut RecoveryReport,
@@ -452,7 +455,7 @@ fn recovery_rounds<T: Scalar>(
                 restored,
             }) => {
                 *grid = *g2;
-                *x = x2;
+                *x = Cow::Owned(x2);
                 // The old store's replicas are keyed by the old grid's
                 // ranks and block shapes; they are meaningless on the
                 // new topology. The retry's refresh rebuilds the store
@@ -532,12 +535,11 @@ struct SweepOutcome<T: Scalar> {
     met: bool,
 }
 
-/// One full RA-HOOI iteration — sweep, threshold test, truncate-or-grow
-/// — with every collective fallible. Mirrors the iteration body of
-/// `dist_ra_hooi_impl` exactly (same arithmetic, same decisions), with
-/// one deliberate difference: truncation ranks are floored at `floor`
-/// (the *original* grid dims) instead of the current grid dims, so the
-/// decision trajectory is invariant under grid shrinks.
+/// One full RA-HOOI iteration — sweep, threshold test, then the step
+/// [`RaConfig::decide`] picks — with every collective fallible.
+/// Truncation ranks are floored at `floor` (the *original* grid dims,
+/// which keep every local block nonempty) instead of the current grid
+/// dims, so the decision trajectory is invariant under grid shrinks.
 #[allow(clippy::too_many_arguments)]
 fn attempt_sweep<T: Scalar>(
     grid: &CartGrid,
@@ -555,77 +557,47 @@ fn attempt_sweep<T: Scalar>(
 ) -> Result<SweepOutcome<T>, CommError> {
     let core = try_dist_sweep(grid, x, factors, ranks, &config.inner, timings, ctx)?;
     let core_norm_sq = core.try_squared_norm(grid)?;
-    if core_norm_sq >= threshold {
+    let met = core_norm_sq >= threshold;
+    // Gather the (small) core everywhere and run eq. (3) redundantly, so
+    // every rank reaches the same decision without extra coordination.
+    let mut analysed = None;
+    if met {
         let core_repl = timings.time(Phase::Other, || core.try_gather_replicated(grid))?;
         let analysis = timings.time(Phase::CoreAnalysis, || {
             let _s = ratucker_obs::span(&grid.comm, "CoreAnalysis");
             analyze_core(&core_repl, dims, x_norm_sq, config.eps)
         });
-        if let Some(a) = analysis {
-            let _mem = ratucker_mem::with_phase(ratucker_mem::MemPhase::Factors);
-            let new_ranks: Vec<usize> =
-                a.ranks.iter().zip(floor).map(|(&r, &p)| r.max(p)).collect();
-            let full = TuckerTensor::new(core_repl, factors.clone());
-            let trunc = full.truncate(&new_ranks);
-            *factors = trunc.factors.clone();
-            Ok(SweepOutcome {
-                core: DistTensor::scatter_from_replicated(grid, &trunc.core),
-                err: trunc.rel_error_from_core(x_norm_sq),
-                new_ranks,
-                met: true,
-            })
-        } else {
-            Ok(SweepOutcome {
-                err: ((x_norm_sq - core_norm_sq).max(0.0) / x_norm_sq).sqrt(),
-                core,
-                new_ranks: ranks.to_vec(),
-                met: true,
-            })
-        }
-    } else {
-        let err = ((x_norm_sq - core_norm_sq).max(0.0) / x_norm_sq).sqrt();
-        if ratucker_mem::rung() >= RUNG_FREEZE {
-            // Rung 3 of the degradation ladder: the grid is under
-            // memory pressure, and rank growth is the one step that
-            // *increases* the working set (wider factors, bigger core,
-            // bigger collectives). Freeze the ranks and keep sweeping —
-            // the iteration still improves the factors at the current
-            // ranks; it just stops chasing the target tolerance upward.
-            // The rung is collectively agreed, so every rank freezes
-            // the same sweep and the trajectory stays deterministic.
-            return Ok(SweepOutcome {
-                core,
-                err,
-                new_ranks: ranks.to_vec(),
-                met: false,
-            });
-        }
-        let grown: Vec<usize> = ranks
-            .iter()
-            .zip(dims)
-            .map(|(&r, &n)| (((r as f64) * config.alpha).ceil() as usize).min(n))
-            .collect();
-        if grown != ranks {
-            // Pure in (seed, sweep): all ranks, any retry after a
-            // recovery, and any resumed run append identical columns.
-            let _mem = ratucker_mem::with_phase(ratucker_mem::MemPhase::Factors);
-            let mut rng = expansion_rng(config.inner.seed, it);
-            for (k, u) in factors.iter_mut().enumerate() {
-                if grown[k] > u.cols() {
-                    let extra = normal_matrix::<T, _>(u.rows(), grown[k] - u.cols(), &mut rng);
-                    let mut ext = u.hcat(&extra);
-                    orthonormalize_columns(&mut ext, u.cols());
-                    *u = ext;
-                }
-            }
-        }
-        Ok(SweepOutcome {
-            core,
-            err,
-            new_ranks: grown,
-            met: false,
-        })
+        analysed = Some((core_repl, analysis));
     }
+    let analysis = analysed
+        .as_ref()
+        .and_then(|(_, a)| a.as_ref().map(|a| a.ranks.as_slice()));
+    // The rung is collectively agreed, so every rank freezes the same
+    // sweep and the trajectory stays deterministic.
+    let step = config.decide(met, analysis, ranks, dims, floor, ratucker_mem::rung());
+    let untruncated_err = ((x_norm_sq - core_norm_sq).max(0.0) / x_norm_sq).sqrt();
+    let (core, err, new_ranks) = match step {
+        RaStep::Truncate(new_ranks) => {
+            let _mem = ratucker_mem::with_phase(ratucker_mem::MemPhase::Factors);
+            let (core_repl, _) = analysed.expect("a truncation follows a core analysis");
+            let trunc = TuckerTensor::new(core_repl, std::mem::take(factors)).truncate(&new_ranks);
+            let core = DistTensor::scatter_from_replicated(grid, &trunc.core);
+            let err = trunc.rel_error_from_core(x_norm_sq);
+            *factors = trunc.factors;
+            (core, err, new_ranks)
+        }
+        RaStep::Grow(grown) => {
+            expand_factors(factors, &grown, config.inner.seed, it);
+            (core, untruncated_err, grown)
+        }
+        RaStep::Keep | RaStep::Freeze => (core, untruncated_err, ranks.to_vec()),
+    };
+    Ok(SweepOutcome {
+        core,
+        err,
+        new_ranks,
+        met,
+    })
 }
 
 /// Distributed rank-adaptive HOOI with online shrink-and-continue
@@ -645,21 +617,48 @@ fn attempt_sweep<T: Scalar>(
 /// - Everything else (NaN screens, type mismatches) surfaces as `Err`.
 ///
 /// `Err` is also returned when `max_recoveries` consecutive recovery
-/// rounds fail to produce a working topology.
+/// rounds fail to produce a working topology, and for the first
+/// error of any class when `max_recoveries` is `0`.
 pub fn dist_ra_hooi_resilient<T: IoScalar>(
     grid0: &CartGrid,
     x0: &DistTensor<T>,
     config: &RaConfig,
     res: &ResilienceConfig,
 ) -> Result<ResilientOutcome<T>, CommError> {
-    let dims: Vec<usize> = x0.global_shape().dims().to_vec();
-    if let Err(msg) = config.validate(&dims) {
-        panic!("infeasible rank-adaptive configuration: {msg}");
+    match &res.checkpoint {
+        Some(policy) => ra_driver(grid0, x0, config, res, &mut FileCheckpointer { policy }),
+        None => ra_driver(grid0, x0, config, res, &mut NoCheckpoint),
     }
+}
+
+/// The one distributed RA-HOOI loop behind [`dist_ra_hooi_resilient`],
+/// [`crate::dist::dist_ra_hooi`] and
+/// [`crate::dist::dist_ra_hooi_checkpointed`]. It takes its checkpoint
+/// I/O as a hook so it needs no `IoScalar` bound; `res.checkpoint` is
+/// not read here. Grid rank 0 of the grid current at each sweep writes
+/// the checkpoint, so a shrink that removes the old writer hands the
+/// job to the new rank 0.
+pub(crate) fn ra_driver<T: Scalar>(
+    grid0: &CartGrid,
+    x0: &DistTensor<T>,
+    config: &RaConfig,
+    res: &ResilienceConfig,
+    ckpt: &mut impl RaCheckpointer<T>,
+) -> Result<ResilientOutcome<T>, CommError> {
+    let dims: Vec<usize> = x0.global_shape().dims().to_vec();
     // Rank floors are frozen at the original grid dims (see module docs).
     let floor: Vec<usize> = grid0.dims().to_vec();
     let mut grid = grid0.clone();
-    let mut x = x0.clone();
+    // With recovery on the run works on its own copy of the block,
+    // which a shrink replaces; the copy is charged to the ledger, and
+    // the memory-pressure budgets of the chaos suite are set against
+    // it. With recovery off nothing replaces the block, so it is only
+    // borrowed.
+    let mut x = if res.max_recoveries > 0 {
+        Cow::Owned(x0.clone())
+    } else {
+        Cow::Borrowed(x0)
+    };
     let mut report = RecoveryReport::default();
 
     // ‖X‖² is computed once, before any failure, and carried through
@@ -667,34 +666,7 @@ pub fn dist_ra_hooi_resilient<T: IoScalar>(
     // perturb the threshold by reduction-order roundoff.
     let x_norm_sq = x.try_squared_norm(&grid)?;
     let threshold = (1.0 - config.eps * config.eps) * x_norm_sq;
-
-    let mut ranks: Vec<usize> = config
-        .initial_ranks
-        .iter()
-        .zip(&dims)
-        .map(|(&r, &n)| r.min(n).max(1))
-        .collect();
-    let mut factors = crate::hooi::random_init::<T>(&dims, &ranks, config.inner.seed);
-    let mut start_sweep = 0;
-    if let Some(policy) = &res.checkpoint {
-        let mut ckpt = FileCheckpointer {
-            policy,
-            write: false,
-        };
-        if let Some(ck) =
-            RaCheckpointer::<T>::resume(&mut ckpt, config.inner.seed, config.eps, &dims, x_norm_sq)
-        {
-            assert!(
-                ck.sweep < config.max_iters,
-                "checkpoint is at sweep {} but this run caps at {} sweeps",
-                ck.sweep,
-                config.max_iters
-            );
-            start_sweep = ck.sweep;
-            ranks = ck.ranks;
-            factors = ck.factors;
-        }
-    }
+    let (mut it, mut ranks, mut factors) = start_state(config, &dims, x_norm_sq, ckpt);
 
     let mut timings = Timings::new();
     let mut ctx = SweepCtx::new(res.abft);
@@ -709,8 +681,13 @@ pub fn dist_ra_hooi_resilient<T: IoScalar>(
 
     // Dispatches a burst of recovery rounds; evaluates to `()` only on
     // the resume path (all exit outcomes return from the function).
+    // With no recovery budget the trigger ends the run as it is.
     macro_rules! run_recovery {
         ($trigger:expr) => {
+            let trigger = $trigger;
+            if res.max_recoveries == 0 {
+                return Err(trigger);
+            }
             match recovery_rounds(
                 &mut grid,
                 &mut x,
@@ -718,7 +695,7 @@ pub fn dist_ra_hooi_resilient<T: IoScalar>(
                 res,
                 &mut report,
                 &mut timings,
-                $trigger,
+                trigger,
             ) {
                 RoundsOutcome::Resumed => {
                     detector.reset();
@@ -740,39 +717,31 @@ pub fn dist_ra_hooi_resilient<T: IoScalar>(
         };
     }
 
-    let mut it = start_sweep;
     while it < config.max_iters {
-        if let Some(policy) = &res.checkpoint {
-            let _mem = ratucker_mem::with_phase(ratucker_mem::MemPhase::Checkpoint);
-            let mut ckpt = FileCheckpointer {
-                policy,
-                write: grid.comm.rank() == 0,
-            };
-            ckpt.save(&Checkpoint {
-                sweep: it,
-                seed: config.inner.seed,
-                eps: config.eps,
-                x_norm_sq,
-                dims: dims.clone(),
-                ranks: ranks.clone(),
-                factors: factors.clone(),
-            });
+        if grid.comm.rank() == 0 {
+            ckpt.save_sweep(config, it, x_norm_sq, &dims, &ranks, &factors);
         }
         // The sweep mutates factors in place; snapshot them (replicated,
-        // so a local copy is globally consistent) for the retry path.
-        let snapshot = {
+        // so a local copy is globally consistent) for the retry path —
+        // when there is one.
+        let snapshot = (res.max_recoveries > 0).then(|| {
             let _s = ratucker_obs::span(&grid.comm, "snapshot");
             factors.clone()
+        });
+        let refreshed = if res.buddy_degree > 0 {
+            // Buddy refresh is pure fault-tolerance overhead: charge it
+            // to the Recovery phase so the breakdown shows the price of
+            // resilience next to the algorithmic phases.
+            let refresh_t0 = std::time::Instant::now();
+            let refreshed = {
+                let _s = ratucker_obs::span(&grid.comm, "refresh");
+                try_refresh_buddies(&grid, &x, res.buddy_degree)
+            };
+            timings.record(Phase::Recovery, refresh_t0.elapsed().as_secs_f64());
+            refreshed
+        } else {
+            Ok(BuddyStore::disabled())
         };
-        // Buddy refresh is pure fault-tolerance overhead: charge it to
-        // the Recovery phase so the breakdown shows the price of
-        // resilience next to the algorithmic phases.
-        let refresh_t0 = std::time::Instant::now();
-        let refreshed = {
-            let _s = ratucker_obs::span(&grid.comm, "refresh");
-            try_refresh_buddies(&grid, &x, res.buddy_degree)
-        };
-        timings.record(Phase::Recovery, refresh_t0.elapsed().as_secs_f64());
         let attempt = refreshed.and_then(|store| {
             buddies = store;
             attempt_sweep(
@@ -824,13 +793,15 @@ pub fn dist_ra_hooi_resilient<T: IoScalar>(
                             }
                             run_recovery!(CommError::Demoted { rank: victim_world });
                         }
-                        Err(e) if is_failure(&e) => run_recovery!(e),
+                        Err(e) if is_failure(&e) => {
+                            run_recovery!(e);
+                        }
                         Err(e) => return Err(e),
                     }
                 }
             }
             Err(CommError::Demoted { rank })
-                if rank == grid.comm.world_rank_of(grid.comm.rank()) =>
+                if res.max_recoveries > 0 && rank == grid.comm.world_rank_of(grid.comm.rank()) =>
             {
                 // The failure detector (a peer's deadline blame or a
                 // straggler verdict) evicted this rank while it was
@@ -907,7 +878,7 @@ pub fn dist_ra_hooi_resilient<T: IoScalar>(
                     // lockstep.
                     report.recoveries = report.recoveries.saturating_sub(1);
                 }
-                factors = snapshot;
+                factors = snapshot.expect("a retry budget implies a snapshot");
             }
             Err(e) => return Err(e),
         }
@@ -952,37 +923,133 @@ mod tests {
             .with_max_iters(3)
     }
 
+    /// Everything a rank's run produced, for bitwise comparison.
+    type RunState = (f64, Vec<f64>, Vec<Vec<usize>>, Vec<Matrix<f64>>, Vec<f64>);
+
+    fn state_of(result: &DistRunResult<f64>, grid: &CartGrid) -> RunState {
+        (
+            result.rel_error,
+            result.sweep_errors.clone(),
+            result.sweep_ranks.clone(),
+            result.tucker.factors.clone(),
+            result.tucker.gather(grid).core.data().to_vec(),
+        )
+    }
+
     #[test]
     fn fault_free_resilient_run_is_bitwise_identical_to_plain() {
         let spec = SyntheticSpec::new(&[12, 10, 8], &[3, 3, 2], 0.02, 209);
-        let cfg = undershoot_cfg();
-        let (s, c2) = (spec.clone(), cfg.clone());
-        let plain = Universe::launch(4, move |c| {
-            let grid = CartGrid::new(c, &[2, 2, 1]);
-            let x = build_dist(&grid, &s);
-            let res = dist_ra_hooi(&grid, &x, &c2);
-            (res.rel_error, res.tucker.factors.clone())
-        });
-        let (s, c2) = (spec.clone(), cfg.clone());
-        let resilient = Universe::launch(4, move |c| {
-            let grid = CartGrid::new(c, &[2, 2, 1]);
-            let x = build_dist(&grid, &s);
-            match dist_ra_hooi_resilient(&grid, &x, &c2, &ResilienceConfig::default()).unwrap() {
-                ResilientOutcome::Completed { result, report, .. } => {
-                    (result.rel_error, result.tucker.factors.clone(), report)
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("ratucker_resilient_table_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let grow = undershoot_cfg();
+        // Starts above the true ranks: the first sweep truncates.
+        let overshoot = RaConfig::ra_hosi_dt(0.1, &[5, 5, 4])
+            .with_seed(23)
+            .with_max_iters(2);
+        let on = ResilienceConfig::default();
+        let cases: Vec<(&str, RaConfig, ResilienceConfig)> = vec![
+            ("buddy 1", grow.clone(), on.clone()),
+            ("buddy 0", grow.clone(), on.clone().with_buddy_degree(0)),
+            (
+                "abft detect",
+                grow.clone(),
+                on.clone().with_abft(AbftMode::Detect),
+            ),
+            (
+                "abft recover",
+                grow.clone(),
+                on.clone().with_abft(AbftMode::Recover),
+            ),
+            (
+                "checkpoint",
+                grow.clone(),
+                on.clone().with_checkpoint(CheckpointPolicy::new(&dir)),
+            ),
+            (
+                "checkpoint, resilience off",
+                grow.clone(),
+                ResilienceConfig::off().with_checkpoint(CheckpointPolicy::new(&dir)),
+            ),
+            (
+                "stop on threshold",
+                grow.clone().stopping_on_threshold(),
+                on.clone(),
+            ),
+            ("overshoot", overshoot.clone(), on.clone()),
+        ];
+        for (name, cfg, res) in cases {
+            let (s, c2) = (spec.clone(), cfg.clone());
+            let plain = Universe::launch(4, move |c| {
+                let grid = CartGrid::new(c, &[2, 2, 1]);
+                let x = build_dist(&grid, &s);
+                let result = dist_ra_hooi(&grid, &x, &c2);
+                // Resilience off records no recovery overhead.
+                assert_eq!(result.timings.secs(Phase::Recovery), 0.0);
+                state_of(&result, &grid)
+            });
+            let s = spec.clone();
+            let resilient = Universe::launch(4, move |c| {
+                let grid = CartGrid::new(c, &[2, 2, 1]);
+                let x = build_dist(&grid, &s);
+                match dist_ra_hooi_resilient(&grid, &x, &cfg, &res).unwrap() {
+                    ResilientOutcome::Completed {
+                        result,
+                        grid,
+                        report,
+                    } => (state_of(&result, &grid), report),
+                    other => panic!("fault-free run must complete, got {other:?}"),
                 }
-                other => panic!("fault-free run must complete, got {other:?}"),
+            });
+            let _ = std::fs::remove_dir_all(&dir);
+            for (a, (b, report)) in plain.iter().zip(&resilient) {
+                assert_eq!(a.0, b.0, "{name}: rel_error");
+                assert_eq!(a.1, b.1, "{name}: sweep errors");
+                assert_eq!(a.2, b.2, "{name}: sweep ranks");
+                for (ua, ub) in a.3.iter().zip(&b.3) {
+                    assert_eq!(ua.as_slice(), ub.as_slice(), "{name}: factors");
+                }
+                assert_eq!(a.4, b.4, "{name}: core");
+                assert_eq!(report.recoveries, 0, "{name}");
+                assert!(report.restored_ranks.is_empty(), "{name}");
+                assert_eq!(report.final_grid, vec![2, 2, 1], "{name}");
+                assert_eq!(report.abft, AbftStats::default(), "{name}");
             }
+            if name == "overshoot" {
+                let first = &plain[0].2[0];
+                assert!(
+                    first
+                        .iter()
+                        .zip(&overshoot.initial_ranks)
+                        .any(|(r, r0)| r < r0),
+                    "the overshoot start must truncate, got {first:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn resilience_off_returns_the_first_error_unchanged() {
+        let spec = SyntheticSpec::new(&[12, 10, 8], &[3, 3, 2], 0.02, 209);
+        let cfg = undershoot_cfg();
+        // The plan of `budget_below_every_rung_falls_back_to_checkpoint_cleanly`:
+        // with recovery on, rank 1's refusal climbs the ladder and every
+        // rank falls back to the checkpoint. With it off there is no
+        // revoke-and-agree round, no ladder and no fallback: the refusing
+        // rank returns its `BudgetExceeded` as it is, and its peers the
+        // error the abort left them with.
+        let plan = FaultPlan::quiet(11).with_mem_pressure(1, 50, 1 << 10);
+        let out = Universe::try_launch(4, plan, move |c| {
+            let grid = CartGrid::new(c, &[2, 2, 1]);
+            let x = build_dist(&grid, &spec);
+            dist_ra_hooi_resilient(&grid, &x, &cfg, &ResilienceConfig::off())
         });
-        for ((err_a, fac_a), (err_b, fac_b, report)) in plain.iter().zip(&resilient) {
-            assert_eq!(err_a, err_b);
-            for (ua, ub) in fac_a.iter().zip(fac_b) {
-                assert_eq!(ua.max_abs_diff(ub), 0.0);
+        for (rank, res) in out.into_iter().enumerate() {
+            match res.expect("no rank panics under memory pressure") {
+                Err(CommError::BudgetExceeded { .. }) if rank == 1 => {}
+                Err(e) if rank != 1 => assert!(is_failure(&e), "rank {rank}: {e}"),
+                other => panic!("rank {rank}: expected the first error, got {other:?}"),
             }
-            assert_eq!(report.recoveries, 0);
-            assert!(report.restored_ranks.is_empty());
-            assert_eq!(report.final_grid, vec![2, 2, 1]);
-            assert_eq!(report.abft, AbftStats::default());
         }
     }
 
