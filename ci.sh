@@ -14,7 +14,7 @@ echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
 echo "==> cargo test (workspace)"
-cargo test --workspace --offline -q
+cargo test --workspace --offline -q --no-fail-fast
 
 echo "==> benchmark quick mode (perfbench builds on the public dist/tucker/serve calls)"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml

@@ -16,7 +16,7 @@ fn bench_allreduce(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("ranks", p), &p, |b, &p| {
             let u = Universe::new(p);
             b.iter(|| {
-                let out = u.run(|comm| comm.allreduce(vec![1.0f64; 1024], sum_op));
+                let out = u.run(|comm| comm.try_allreduce(vec![1.0f64; 1024], sum_op).unwrap());
                 black_box(out[0][0])
             });
         });
@@ -32,7 +32,10 @@ fn bench_reduce_scatter(c: &mut Criterion) {
             let u = Universe::new(p);
             let counts = vec![512usize; p];
             b.iter(|| {
-                let out = u.run(|comm| comm.reduce_scatter(vec![1.0f32; 512 * p], &counts, sum_op));
+                let out = u.run(|comm| {
+                    comm.try_reduce_scatter(vec![1.0f32; 512 * p], &counts, sum_op)
+                        .unwrap()
+                });
                 black_box(out[0][0])
             });
         });
@@ -49,7 +52,7 @@ fn bench_alltoallv(c: &mut Criterion) {
             b.iter(|| {
                 let out = u.run(|comm| {
                     let blocks: Vec<Vec<f32>> = (0..p).map(|_| vec![1.0f32; 256]).collect();
-                    comm.alltoallv(blocks)
+                    comm.try_alltoallv(blocks).unwrap()
                 });
                 black_box(out[0][0][0])
             });

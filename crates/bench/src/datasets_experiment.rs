@@ -10,7 +10,7 @@ use crate::report::Table;
 use ratucker::prelude::*;
 use ratucker::timings::ALL_PHASES;
 use ratucker::RaResult;
-use ratucker_datasets::{DatasetSpec, TOLERANCES, TOLERANCE_LABELS};
+use ratucker_datasets::{DatasetSpec, TOLERANCES};
 use ratucker_tensor::dense::DenseTensor;
 use ratucker_tensor::scalar::Scalar;
 use std::time::Instant;
@@ -328,10 +328,5 @@ impl DatasetReport {
             t.row_strings(row);
         }
         t
-    }
-
-    /// The labels of the tolerance ladder, for captions.
-    pub fn tolerance_labels() -> &'static [&'static str] {
-        &TOLERANCE_LABELS
     }
 }

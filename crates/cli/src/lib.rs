@@ -574,81 +574,67 @@ fn run_collective<T: IoScalar>(
 }
 
 /// Parses `--parameter-file <path>` from argv (the artifact's interface),
-/// then layers the checkpoint flags (`--checkpoint-dir <dir>`, `--resume`)
-/// over the file as the `Checkpoint dir` / `Resume` keys.
+/// then layers the command-line flags (`--checkpoint-dir <dir>`,
+/// `--resume`, `--mem-budget <size>`, …) over the file as their
+/// parameter-file keys (`Checkpoint dir`, `Resume`, `Mem budget`, …).
 pub fn parameter_file_from_args() -> Result<Params, Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
     params_from_argv(&args)
 }
 
+/// A flag's value: its usage hint and what the flag's missing-value
+/// error says it requires.
+type FlagValue = (&'static str, &'static str);
+
+/// The flags layered over the parameter file: (flag, parameter-file
+/// key, value). A flag without a value sets its key to `true`.
+#[rustfmt::skip]
+const FLAGS: [(&str, &str, Option<FlagValue>); 10] = [
+    ("--checkpoint-dir", "Checkpoint dir", Some(("<dir>", "a path argument"))),
+    ("--resume", "Resume", None),
+    ("--buddy-replication", "Buddy replication", Some(("<k>", "a degree argument"))),
+    ("--abft", "ABFT", Some(("off|detect|recover", "a mode argument (off, detect, recover)"))),
+    ("--trace-out", "Trace out", Some(("<trace.json>", "a path argument"))),
+    ("--deadline-profile", "Deadline profile",
+        Some(("off|strict|lenient", "a profile argument (off, strict, lenient)"))),
+    ("--retry", "Retry", Some(("<n>", "a max-retransmissions argument"))),
+    ("--straggler-demotion", "Straggler demotion", Some(("<x>", "a median-multiple argument"))),
+    ("--mem-budget", "Mem budget",
+        Some(("<size>", "a size argument (bytes, K/M/G suffixes accepted)"))),
+    ("--threads", "Threads", Some(("<n>", "a worker-count argument"))),
+];
+
 /// Testable core of [`parameter_file_from_args`].
 pub fn params_from_argv(args: &[String]) -> Result<Params, Box<dyn std::error::Error>> {
-    let pos = args.iter().position(|a| a == "--parameter-file").ok_or(
-        "usage: <driver> --parameter-file <file.cfg> [--checkpoint-dir <dir>] [--resume] \
-             [--buddy-replication <k>] [--abft off|detect|recover] [--trace-out <trace.json>] \
-             [--deadline-profile off|strict|lenient] [--retry <n>] [--straggler-demotion <x>] \
-             [--mem-budget <size>] [--threads <n>]",
-    )?;
+    let usage = || {
+        let mut usage = String::from("usage: <driver> --parameter-file <file.cfg>");
+        for (flag, _, arg) in FLAGS {
+            match arg {
+                Some((hint, _)) => usage += &format!(" [{flag} {hint}]"),
+                None => usage += &format!(" [{flag}]"),
+            }
+        }
+        usage
+    };
+    let pos = args
+        .iter()
+        .position(|a| a == "--parameter-file")
+        .ok_or_else(usage)?;
     let path = args
         .get(pos + 1)
         .ok_or("--parameter-file requires a path argument")?;
     let mut params = Params::load(path)?;
-    if let Some(pos) = args.iter().position(|a| a == "--checkpoint-dir") {
-        let dir = args
-            .get(pos + 1)
-            .ok_or("--checkpoint-dir requires a path argument")?;
-        params.set("Checkpoint dir", dir);
-    }
-    if args.iter().any(|a| a == "--resume") {
-        params.set("Resume", "true");
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--buddy-replication") {
-        let k = args
-            .get(pos + 1)
-            .ok_or("--buddy-replication requires a degree argument")?;
-        params.set("Buddy replication", k);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--abft") {
-        let mode = args
-            .get(pos + 1)
-            .ok_or("--abft requires a mode argument (off, detect, recover)")?;
-        params.set("ABFT", mode);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--trace-out") {
-        let path = args
-            .get(pos + 1)
-            .ok_or("--trace-out requires a path argument")?;
-        params.set("Trace out", path);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--deadline-profile") {
-        let name = args
-            .get(pos + 1)
-            .ok_or("--deadline-profile requires a profile argument (off, strict, lenient)")?;
-        params.set("Deadline profile", name);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--retry") {
-        let n = args
-            .get(pos + 1)
-            .ok_or("--retry requires a max-retransmissions argument")?;
-        params.set("Retry", n);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--straggler-demotion") {
-        let x = args
-            .get(pos + 1)
-            .ok_or("--straggler-demotion requires a median-multiple argument")?;
-        params.set("Straggler demotion", x);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--mem-budget") {
-        let size = args
-            .get(pos + 1)
-            .ok_or("--mem-budget requires a size argument (bytes, K/M/G suffixes accepted)")?;
-        params.set("Mem budget", size);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--threads") {
-        let n = args
-            .get(pos + 1)
-            .ok_or("--threads requires a worker-count argument")?;
-        params.set("Threads", n);
+    for (flag, key, arg) in FLAGS {
+        let Some(pos) = args.iter().position(|a| a == flag) else {
+            continue;
+        };
+        let value = match arg {
+            None => "true",
+            Some((_, requires)) => args
+                .get(pos + 1)
+                .ok_or_else(|| format!("{flag} requires {requires}"))?,
+        };
+        params.set(key, value);
     }
     Ok(params)
 }

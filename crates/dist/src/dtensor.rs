@@ -97,24 +97,8 @@ impl<T: Scalar> DistTensor<T> {
         &self.local
     }
 
-    /// Mutable access to the local block.
-    pub fn local_mut(&mut self) -> &mut DenseTensor<T> {
-        &mut self.local
-    }
-
-    /// Consumes into the local block.
-    pub fn into_local(self) -> DenseTensor<T> {
-        self.local
-    }
-
     /// Global squared norm: sum of local squared norms, allreduced.
     /// Collective.
-    pub fn squared_norm(&self, grid: &CartGrid) -> f64 {
-        self.try_squared_norm(grid)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`DistTensor::squared_norm`].
     pub fn try_squared_norm(&self, grid: &CartGrid) -> Result<f64, CommError> {
         let local = self.local.squared_norm_f64();
         let summed = grid.comm.try_allreduce(vec![local], ratucker_mpi::sum_op)?;
@@ -124,12 +108,6 @@ impl<T: Scalar> DistTensor<T> {
     /// Assembles the full tensor on every rank (allgather of all blocks).
     /// Collective; cost `O(N)` words per rank — used for the (small) core
     /// tensor in the rank-adaptive core analysis and in tests.
-    pub fn gather_replicated(&self, grid: &CartGrid) -> DenseTensor<T> {
-        self.try_gather_replicated(grid)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`DistTensor::gather_replicated`].
     pub fn try_gather_replicated(&self, grid: &CartGrid) -> Result<DenseTensor<T>, CommError> {
         let payload = self.local.data().to_vec();
         let blocks = grid.comm.try_allgatherv(payload)?;
@@ -185,7 +163,7 @@ mod tests {
             let results = Universe::launch(p, move |c| {
                 let grid = CartGrid::new(c, &gd);
                 let x = DistTensor::from_fn(&grid, Shape::new(&[6, 5, 4]), global_value);
-                x.gather_replicated(&grid)
+                x.try_gather_replicated(&grid).unwrap()
             });
             let reference = DenseTensor::from_fn([6, 5, 4], global_value);
             for r in results {
@@ -199,7 +177,7 @@ mod tests {
         let results = Universe::launch(4, |c| {
             let grid = CartGrid::new(c, &[2, 2]);
             let x = DistTensor::from_fn(&grid, Shape::new(&[7, 5]), global_value);
-            x.squared_norm(&grid)
+            x.try_squared_norm(&grid).unwrap()
         });
         let reference = DenseTensor::from_fn([7, 5], global_value).squared_norm_f64();
         for r in results {

@@ -884,7 +884,7 @@ mod tests {
                     let grid = CartGrid::new(c, &gd);
                     let x = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
                     let y = try_dist_ttm(&grid, &x, mode, &uu, Transpose::Yes).unwrap();
-                    y.gather_replicated(&grid)
+                    y.try_gather_replicated(&grid).unwrap()
                 });
                 for got in results {
                     assert!(
@@ -907,7 +907,7 @@ mod tests {
             let y = try_dist_ttm(&grid, &x, 0, &u, Transpose::Yes).unwrap();
             (
                 y.local().shape().dims().to_vec(),
-                y.gather_replicated(&grid),
+                y.try_gather_replicated(&grid).unwrap(),
             )
         });
         let x_ref = DenseTensor::from_fn(dims, global_value);
@@ -930,7 +930,8 @@ mod tests {
             let x = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
             try_dist_ttm(&grid, &x, 1, &mm, Transpose::No)
                 .unwrap()
-                .gather_replicated(&grid)
+                .try_gather_replicated(&grid)
+                .unwrap()
         });
         for got in results {
             assert!(got.max_abs_diff(&want) < 1e-11);
@@ -950,7 +951,8 @@ mod tests {
                 let x = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
                 try_dist_multi_ttm_all_but(&grid, &x, &fs, skip)
                     .unwrap()
-                    .gather_replicated(&grid)
+                    .try_gather_replicated(&grid)
+                    .unwrap()
             });
             for got in results {
                 assert!(got.max_abs_diff(&want) < 1e-11, "skip {skip}");

@@ -59,7 +59,7 @@ proptest! {
             let xd = DistTensor::from_fn(&g, Shape::new(&dims2), |idx| x_ref.get(idx));
             try_dist_ttm(&g, &xd, mode, &u, Transpose::Yes)
                 .unwrap()
-                .gather_replicated(&g)
+                .try_gather_replicated(&g).unwrap()
         });
         for got in out {
             prop_assert!(got.max_abs_diff(&want) < 1e-11);
@@ -129,8 +129,8 @@ proptest! {
         let out = Universe::launch(p, move |c| {
             let g = CartGrid::new(c, &grid2);
             let xd = DistTensor::from_fn(&g, Shape::new(&dims2), |idx| x_in.get(idx));
-            let norm = xd.squared_norm(&g);
-            (xd.gather_replicated(&g), norm)
+            let norm = xd.try_squared_norm(&g).unwrap();
+            (xd.try_gather_replicated(&g).unwrap(), norm)
         });
         for (got, norm) in out {
             prop_assert_eq!(got.max_abs_diff(&x_ref), 0.0);

@@ -571,15 +571,6 @@ impl<T> TrackedBuf<T> {
         })
     }
 
-    /// Wraps an already-built vector, charging its capacity.
-    pub fn try_adopt(data: Vec<T>) -> Result<TrackedBuf<T>, BudgetExceeded> {
-        let charge = Charge::try_new(bytes_of::<T>(data.capacity()))?;
-        Ok(TrackedBuf {
-            data,
-            _charge: charge,
-        })
-    }
-
     /// Unwraps the vector, releasing the charge.
     pub fn into_vec(self) -> Vec<T> {
         self.data

@@ -3,7 +3,7 @@
 //! A [`Comm`] is a view of an ordered subset of a universe's ranks, in the
 //! sense of an MPI communicator: rank `r` of the communicator maps to a
 //! world rank through the group table. Sub-communicators are created with
-//! [`Comm::split`], exactly like `MPI_Comm_split`.
+//! [`Comm::try_split`], exactly like `MPI_Comm_split`.
 //!
 //! Collective algorithms:
 //! - barrier — dissemination;
@@ -17,12 +17,12 @@
 //! Every collective assumes all ranks of the communicator call it in the
 //! same program order — the usual MPI contract.
 //!
-//! Each collective comes in two flavors: the fallible `try_*` form
-//! returning `Result<_, CommError>` (lost messages, crashed peers, and
-//! type mismatches surface as typed errors), and the legacy panicking
-//! form, a thin wrapper that panics with the error's display text.
-//! Allreduce and reduce-scatter are implemented once, in split-phase
-//! form ([`crate::request`]); their `try_*` forms post and wait at once.
+//! Every operation has one form, the fallible `try_*` call returning
+//! `Result<_, CommError>`: lost messages, crashed peers, revocation and
+//! type mismatches surface as typed errors, and the caller decides
+//! whether to recover, propagate or panic. Allreduce and reduce-scatter
+//! are implemented once, in split-phase form ([`crate::request`]); their
+//! `try_*` forms post and wait at once.
 
 use crate::fabric::{CollectiveKind, Fabric, TrafficScope};
 use crate::fault::CommError;
@@ -543,91 +543,6 @@ impl Comm {
             group: Arc::new(group),
             rank,
         })
-    }
-
-    // ---------------------------------------------------------------
-    // Legacy panicking wrappers
-    // ---------------------------------------------------------------
-
-    /// Point-to-point send to communicator rank `dst`.
-    pub fn send<T: Elem>(&self, dst: usize, data: Vec<T>) {
-        self.try_send(dst, data).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Point-to-point receive from communicator rank `src`.
-    pub fn recv<T: Elem>(&self, src: usize) -> Vec<T> {
-        self.try_recv(src).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Dissemination barrier.
-    pub fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Binomial-tree broadcast. The root passes the payload; other ranks'
-    /// argument is ignored (pass `Vec::new()`).
-    pub fn bcast<T: Elem>(&self, root: usize, data: Vec<T>) -> Vec<T> {
-        self.try_bcast(root, data).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Binomial-tree reduce with an elementwise combiner
-    /// `op(acc, incoming)`. Returns `Some(result)` on the root.
-    pub fn reduce<T: Elem>(
-        &self,
-        root: usize,
-        data: Vec<T>,
-        op: impl Fn(&mut [T], &[T]) + Copy,
-    ) -> Option<Vec<T>> {
-        self.try_reduce(root, data, op)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Allreduce = reduce to rank 0 + broadcast.
-    pub fn allreduce<T: Elem>(
-        &self,
-        data: Vec<T>,
-        op: impl Fn(&mut [T], &[T]) + Copy + Send + 'static,
-    ) -> Vec<T> {
-        self.try_allreduce(data, op)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Ring allgather of variable-size blocks: returns every rank's block,
-    /// indexed by communicator rank.
-    pub fn allgatherv<T: Elem>(&self, data: Vec<T>) -> Vec<Vec<T>> {
-        self.try_allgatherv(data).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Reduce-scatter: the input is partitioned into `p` contiguous
-    /// blocks of the given lengths (`counts.len() == p`,
-    /// `Σ counts == data.len()`); on return each rank holds the elementwise
-    /// reduction of its own block across all ranks.
-    pub fn reduce_scatter<T: Elem>(
-        &self,
-        data: Vec<T>,
-        counts: &[usize],
-        op: impl Fn(&mut [T], &[T]) + Copy + Send + 'static,
-    ) -> Vec<T> {
-        self.try_reduce_scatter(data, counts, op)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Direct all-to-all of variable blocks: `blocks[r]` goes to rank `r`;
-    /// returns the blocks received, indexed by source rank.
-    pub fn alltoallv<T: Elem>(&self, blocks: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        self.try_alltoallv(blocks).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Gather of variable blocks to `root`; returns `Some(blocks)` there.
-    pub fn gatherv<T: Elem>(&self, root: usize, data: Vec<T>) -> Option<Vec<Vec<T>>> {
-        self.try_gatherv(root, data)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Splits the communicator: ranks sharing `color` form a new
-    /// communicator, ordered by `(key, old rank)` — `MPI_Comm_split`.
-    pub fn split(&self, color: usize, key: usize) -> Comm {
-        self.try_split(color, key).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

@@ -7,9 +7,8 @@
 //! (which indicates mismatched collective calls — the moral equivalent of
 //! an MPI datatype error).
 //!
-//! The fallible API is [`Fabric::try_send`] / [`Fabric::try_recv`]; the
-//! legacy [`Fabric::send`] / [`Fabric::recv`] wrappers panic with the
-//! error's `Display` text, preserving the original messages.
+//! Point-to-point traffic goes through [`Fabric::try_send`] /
+//! [`Fabric::try_recv`], which report every failure as a [`CommError`].
 //!
 //! Links are hand-rolled `Mutex<VecDeque> + Condvar` queues rather than a
 //! channel crate: the build environment is offline, and owning the queue
@@ -1001,14 +1000,6 @@ impl Fabric {
         cur
     }
 
-    /// The world ranks currently alive, ascending. This is the failure
-    /// detector's view: in the simulator liveness is ground truth (a
-    /// retired thread really is gone), which models a perfect detector —
-    /// the paper's target systems approximate this with heartbeats.
-    pub fn alive_ranks(&self) -> Vec<usize> {
-        (0..self.p).filter(|&r| self.is_alive(r)).collect()
-    }
-
     /// Has the fabric been revoked (a rank observed a failure and called
     /// [`Fabric::revoke`])?
     pub fn is_revoked(&self) -> bool {
@@ -1428,26 +1419,6 @@ impl Fabric {
                 expected: std::any::type_name::<T>(),
             })
     }
-
-    /// Sends a typed vector from `src` to `dst`, recording traffic.
-    ///
-    /// # Panics
-    /// Panics (with the [`CommError`] display text) if the destination
-    /// rank has retired.
-    pub fn send<T: Send + 'static>(&self, src: usize, dst: usize, data: Vec<T>) {
-        self.try_send(src, dst, data)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Receives the next message sent from `src` to `dst`, downcasting to
-    /// the expected element type.
-    ///
-    /// # Panics
-    /// Panics on element-type mismatch, retired peer, or after the
-    /// receive timeout (deadlock: mismatched send/recv pattern).
-    pub fn recv<T: Send + 'static>(&self, src: usize, dst: usize) -> Vec<T> {
-        self.try_recv(src, dst).unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 /// Applies an injected corruption to an `f64` or `f32` payload in place.
@@ -1525,16 +1496,16 @@ mod tests {
     #[test]
     fn send_recv_roundtrip() {
         let f = Fabric::new(2);
-        f.send(0, 1, vec![1.0f64, 2.0, 3.0]);
-        let got: Vec<f64> = f.recv(0, 1);
+        f.try_send(0, 1, vec![1.0f64, 2.0, 3.0]).unwrap();
+        let got: Vec<f64> = f.try_recv(0, 1).unwrap();
         assert_eq!(got, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn traffic_is_counted() {
         let f = Fabric::new(2);
-        f.send(0, 1, vec![0u64; 10]);
-        let _: Vec<u64> = f.recv(0, 1);
+        f.try_send(0, 1, vec![0u64; 10]).unwrap();
+        let _: Vec<u64> = f.try_recv(0, 1).unwrap();
         let (bytes, msgs) = f.stats().snapshot();
         assert_eq!(bytes, 80);
         assert_eq!(msgs, 1);
@@ -1544,24 +1515,16 @@ mod tests {
     #[test]
     fn messages_from_same_source_are_fifo() {
         let f = Fabric::new(2);
-        f.send(0, 1, vec![1i64]);
-        f.send(0, 1, vec![2i64]);
-        assert_eq!(f.recv::<i64>(0, 1), vec![1]);
-        assert_eq!(f.recv::<i64>(0, 1), vec![2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unexpected element type")]
-    fn type_mismatch_panics() {
-        let f = Fabric::new(2);
-        f.send(0, 1, vec![1.0f32]);
-        let _: Vec<f64> = f.recv(0, 1);
+        f.try_send(0, 1, vec![1i64]).unwrap();
+        f.try_send(0, 1, vec![2i64]).unwrap();
+        assert_eq!(f.try_recv::<i64>(0, 1).unwrap(), vec![1]);
+        assert_eq!(f.try_recv::<i64>(0, 1).unwrap(), vec![2]);
     }
 
     #[test]
     fn type_mismatch_is_a_typed_error() {
         let f = Fabric::new(2);
-        f.send(0, 1, vec![1.0f32]);
+        f.try_send(0, 1, vec![1.0f32]).unwrap();
         match f.try_recv::<f64>(0, 1) {
             Err(CommError::TypeMismatch {
                 src: 0,
@@ -1577,8 +1540,8 @@ mod tests {
     #[test]
     fn self_send_works() {
         let f = Fabric::new(1);
-        f.send(0, 0, vec![7u8]);
-        assert_eq!(f.recv::<u8>(0, 0), vec![7]);
+        f.try_send(0, 0, vec![7u8]).unwrap();
+        assert_eq!(f.try_recv::<u8>(0, 0).unwrap(), vec![7]);
     }
 
     #[test]
@@ -1628,7 +1591,7 @@ mod tests {
         let f = Fabric::new(2);
         f.set_recv_timeout(Duration::from_millis(20));
         f.attach_fault_plan(FaultPlan::quiet(0).with_drops(1.0));
-        f.send(0, 1, vec![1.0f64]);
+        f.try_send(0, 1, vec![1.0f64]).unwrap();
         assert!(matches!(
             f.try_recv::<f64>(0, 1),
             Err(CommError::Timeout { .. })
@@ -1640,12 +1603,12 @@ mod tests {
     fn nan_corruption_hits_f64_payloads() {
         let f = Fabric::new(2);
         f.attach_fault_plan(FaultPlan::quiet(0).with_corruption(1.0, CorruptMode::NanInject));
-        f.send(0, 1, vec![1.0f64, 2.0, 3.0]);
-        let got: Vec<f64> = f.recv(0, 1);
+        f.try_send(0, 1, vec![1.0f64, 2.0, 3.0]).unwrap();
+        let got: Vec<f64> = f.try_recv(0, 1).unwrap();
         assert_eq!(got.iter().filter(|x| x.is_nan()).count(), 1);
         // Non-float payloads pass through untouched.
-        f.send(0, 1, vec![5usize, 6]);
-        assert_eq!(f.recv::<usize>(0, 1), vec![5, 6]);
+        f.try_send(0, 1, vec![5usize, 6]).unwrap();
+        assert_eq!(f.try_recv::<usize>(0, 1).unwrap(), vec![5, 6]);
     }
 
     #[test]
@@ -1653,8 +1616,8 @@ mod tests {
         let f = Fabric::new(2);
         f.attach_fault_plan(FaultPlan::quiet(9).with_corruption(1.0, CorruptMode::BitFlip));
         let orig = vec![1.0f64, 2.0, 3.0, 4.0];
-        f.send(0, 1, orig.clone());
-        let got: Vec<f64> = f.recv(0, 1);
+        f.try_send(0, 1, orig.clone()).unwrap();
+        let got: Vec<f64> = f.try_recv(0, 1).unwrap();
         let changed = got.iter().zip(&orig).filter(|(a, b)| a != b).count();
         assert_eq!(changed, 1);
         assert!(
@@ -1668,8 +1631,8 @@ mod tests {
         let f = Fabric::new(2);
         f.attach_fault_plan(FaultPlan::quiet(41).with_corruption(1.0, CorruptMode::ExponentFlip));
         let orig = vec![1.5f64, -2.25, 3.75, 4.125];
-        f.send(0, 1, orig.clone());
-        let got: Vec<f64> = f.recv(0, 1);
+        f.try_send(0, 1, orig.clone()).unwrap();
+        let got: Vec<f64> = f.try_recv(0, 1).unwrap();
         let changed = got.iter().zip(&orig).filter(|(a, b)| a != b).count();
         assert_eq!(changed, 1, "exactly one element corrupted");
         assert!(
@@ -1704,7 +1667,7 @@ mod tests {
         let f = Fabric::new(2);
         f.attach_fault_plan(FaultPlan::quiet(3).with_drops(1.0));
         for _ in 0..5 {
-            f.send(0, 1, vec![1.0f64; 8]);
+            f.try_send(0, 1, vec![1.0f64; 8]).unwrap();
         }
         let stats = f.stats();
         assert_eq!(stats.attempted.load(Ordering::Relaxed), 5);
@@ -1714,7 +1677,7 @@ mod tests {
         assert_eq!(bytes, 0, "dropped bytes are not counted as moved");
         stats.check_invariant().expect("invariant under total drop");
         f.clear_fault_plan();
-        f.send(0, 1, vec![1.0f64; 8]);
+        f.try_send(0, 1, vec![1.0f64; 8]).unwrap();
         assert_eq!(stats.attempted.load(Ordering::Relaxed), 6);
         assert_eq!(stats.messages.load(Ordering::Relaxed), 1);
         stats
@@ -1745,33 +1708,33 @@ mod tests {
         f.ctrl_send(0, 1, vec![7u64]).unwrap();
         assert_eq!(f.ctrl_recv::<u64>(0, 1).unwrap(), vec![7]);
         f.clear_revocation();
-        f.send(0, 1, vec![2.0f64]);
-        assert_eq!(f.recv::<f64>(0, 1), vec![2.0]);
+        f.try_send(0, 1, vec![2.0f64]).unwrap();
+        assert_eq!(f.try_recv::<f64>(0, 1).unwrap(), vec![2.0]);
     }
 
     #[test]
     fn epoch_bump_discards_stale_messages() {
         let f = Fabric::new(2);
         f.set_recv_timeout(Duration::from_millis(20));
-        f.send(0, 1, vec![1.0f64]); // epoch 0
+        f.try_send(0, 1, vec![1.0f64]).unwrap(); // epoch 0
         f.bump_epoch();
         // The stale epoch-0 message must not satisfy this receive.
         assert!(matches!(
             f.try_recv::<f64>(0, 1),
             Err(CommError::Timeout { .. })
         ));
-        f.send(0, 1, vec![2.0f64]); // epoch 1
-        assert_eq!(f.recv::<f64>(0, 1), vec![2.0]);
+        f.try_send(0, 1, vec![2.0f64]).unwrap(); // epoch 1
+        assert_eq!(f.try_recv::<f64>(0, 1).unwrap(), vec![2.0]);
     }
 
     #[test]
     fn injected_crash_panics_at_op_n() {
         let f = Fabric::new(2);
         f.attach_fault_plan(FaultPlan::quiet(0).with_crash(0, 3));
-        f.send(0, 1, vec![1u8]); // op 1
-        f.send(0, 1, vec![2u8]); // op 2
+        f.try_send(0, 1, vec![1u8]).unwrap(); // op 1
+        f.try_send(0, 1, vec![2u8]).unwrap(); // op 2
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            f.send(0, 1, vec![3u8]); // op 3 → crash
+            f.try_send(0, 1, vec![3u8]).unwrap(); // op 3 → crash
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
@@ -1785,7 +1748,7 @@ mod tests {
             .unwrap();
         f.try_send_kind(1, 0, vec![1.0f64; 2], CollectiveKind::ReduceScatter)
             .unwrap();
-        f.send(0, 1, vec![7u8]); // bare p2p
+        f.try_send(0, 1, vec![7u8]).unwrap(); // bare p2p
         let stats = f.stats();
         let totals = stats.kind_totals();
         assert_eq!(totals.bytes_of(CollectiveKind::Allreduce), 32);
@@ -1904,10 +1867,14 @@ mod tests {
             let f = Fabric::new(2);
             f.set_schedule_policy(policy);
             for i in 0..10i64 {
-                f.send(1, 0, vec![i]);
+                f.try_send(1, 0, vec![i]).unwrap();
             }
             for i in 0..10i64 {
-                assert_eq!(f.recv::<i64>(1, 0), vec![i], "under {policy:?}");
+                assert_eq!(
+                    f.try_recv::<i64>(1, 0).unwrap(),
+                    vec![i],
+                    "under {policy:?}"
+                );
             }
         }
     }
@@ -2035,7 +2002,7 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(30));
         assert_eq!(f.stats().recv_retries.load(Ordering::Relaxed), 2);
         // A message arriving during a retry window is delivered normally.
-        f.send(0, 1, vec![9.0f64]);
+        f.try_send(0, 1, vec![9.0f64]).unwrap();
         assert_eq!(
             f.try_recv_kind::<f64>(0, 1, CollectiveKind::Gatherv)
                 .unwrap(),
@@ -2049,11 +2016,11 @@ mod tests {
         f.attach_fault_plan(FaultPlan::quiet(21).with_flaky_link(0, 1, 0.4));
         f.set_retry_policy(Some(RetryPolicy::new(8)));
         for i in 0..20i64 {
-            f.send(0, 1, vec![i]);
+            f.try_send(0, 1, vec![i]).unwrap();
         }
         // Every message is eventually delivered, in order.
         for i in 0..20i64 {
-            assert_eq!(f.recv::<i64>(0, 1), vec![i]);
+            assert_eq!(f.try_recv::<i64>(0, 1).unwrap(), vec![i]);
         }
         let stats = f.stats();
         assert!(
@@ -2073,7 +2040,7 @@ mod tests {
         f.set_recv_timeout(Duration::from_millis(20));
         f.attach_fault_plan(FaultPlan::quiet(0).with_drops(1.0));
         f.set_retry_policy(Some(RetryPolicy::new(3)));
-        f.send(0, 1, vec![1.0f64]);
+        f.try_send(0, 1, vec![1.0f64]).unwrap();
         let stats = f.stats();
         // 1 first attempt + 3 retries, all dropped, none delivered.
         assert_eq!(stats.attempted.load(Ordering::Relaxed), 4);
@@ -2093,12 +2060,12 @@ mod tests {
         let f = Fabric::new(2);
         f.attach_fault_plan(FaultPlan::quiet(0).with_slow_rank(0, Duration::from_millis(30)));
         let t0 = Instant::now();
-        f.send(0, 1, vec![1u8]);
+        f.try_send(0, 1, vec![1u8]).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(30), "send not slowed");
         // The fast rank's operations are unaffected (its recv pops an
         // already-delivered message instantly).
         let t1 = Instant::now();
-        assert_eq!(f.recv::<u8>(0, 1), vec![1]);
+        assert_eq!(f.try_recv::<u8>(0, 1).unwrap(), vec![1]);
         assert!(t1.elapsed() < Duration::from_millis(25));
         f.clear_fault_plan();
     }
@@ -2160,9 +2127,9 @@ mod tests {
         // A blame against a rank that is not blocked stays where it is.
         assert_eq!(f.resolve_blame(0, 2), 2);
         // Unwind the chain: rank 2 answers, then rank 1 can answer.
-        f.send(2, 1, vec![7.0f64]);
+        f.try_send(2, 1, vec![7.0f64]).unwrap();
         assert_eq!(h1.join().unwrap().unwrap(), vec![7.0]);
-        f.send(1, 0, vec![8.0f64]);
+        f.try_send(1, 0, vec![8.0f64]).unwrap();
         assert_eq!(h0.join().unwrap().unwrap(), vec![8.0]);
         // All cells cleared once nobody is blocked.
         assert_eq!(f.resolve_blame(0, 1), 1);
@@ -2174,9 +2141,9 @@ mod tests {
         let f2 = Arc::clone(&f);
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(40));
-            f2.send(0, 1, vec![1.0f64]);
+            f2.try_send(0, 1, vec![1.0f64]).unwrap();
         });
-        assert_eq!(f.recv::<f64>(0, 1), vec![1.0]);
+        assert_eq!(f.try_recv::<f64>(0, 1).unwrap(), vec![1.0]);
         h.join().unwrap();
         let waits = f.stats().induced_wait_us();
         assert!(
@@ -2227,7 +2194,7 @@ mod tests {
         let f = Fabric::new(2);
         f.set_schedule_policy(SchedulePolicy::Adversarial(Adversary::Lifo));
         let state = f.schedule_state().unwrap();
-        f.send(0, 1, vec![1u8]);
+        f.try_send(0, 1, vec![1u8]).unwrap();
         // Link index dst * p + src = 2.
         assert_eq!(state.send_ops[2].load(Ordering::Relaxed), 1);
         f.reset_for_run();

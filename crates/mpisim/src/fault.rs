@@ -19,11 +19,12 @@
 use std::fmt;
 use std::time::Duration;
 
-/// Error type for fallible fabric and collective operations.
+/// Error type of every fabric and collective operation.
 ///
-/// The `Display` text of each variant is the exact message the legacy
-/// panicking API raises, so `should_panic(expected = ...)` tests keep
-/// working against the thin wrappers.
+/// A caller that cannot recover panics with the `Display` text
+/// (`panic!("{e}")`), so a rank failure's message names the fault: for
+/// example [`crate::Universe::explore`] recognises a deadlock by the
+/// [`CommError::Timeout`] text `"timed out waiting"`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CommError {
     /// A blocked receive exceeded the fabric's receive timeout — the

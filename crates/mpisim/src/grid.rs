@@ -295,7 +295,10 @@ mod tests {
         let results = Universe::launch(12, |c| {
             let grid = CartGrid::new(c, &[3, 2, 2]);
             let v = vec![grid.coord(0) as u64];
-            let s = grid.mode_comm(0).allreduce(v, crate::comm::sum_op);
+            let s = grid
+                .mode_comm(0)
+                .try_allreduce(v, crate::comm::sum_op)
+                .unwrap();
             s[0]
         });
         assert!(results.iter().all(|&s| s == 3));
@@ -338,7 +341,10 @@ mod tests {
                 ShrinkOutcome::Active(g) => {
                     // The active grid must be fully functional: fiber
                     // communicators remapped, collectives working.
-                    let s = g.mode_comm(0).allreduce(vec![1u64], crate::comm::sum_op)[0];
+                    let s = g
+                        .mode_comm(0)
+                        .try_allreduce(vec![1u64], crate::comm::sum_op)
+                        .unwrap()[0];
                     (true, g.dims().to_vec(), g.comm.size(), s)
                 }
                 ShrinkOutcome::Spare(s) => (false, Vec::new(), s.size(), 0),

@@ -15,17 +15,22 @@
 //! # Example
 //!
 //! ```
-//! use ratucker_mpi::{sum_op, CartGrid, Universe};
+//! use ratucker_mpi::{sum_op, CartGrid, CommError, Universe};
 //!
-//! // Four ranks on a 2x2 grid: allreduce along each grid fiber.
-//! let sums = Universe::launch(4, |comm| {
+//! // Four ranks on a 2x2 grid: allreduce along each grid fiber. Every
+//! // operation returns `Result<_, CommError>`: a lost message or a dead
+//! // peer is a typed error, not a panic or a hang.
+//! let sums = Universe::launch(4, |comm| -> Result<u64, CommError> {
 //!     let grid = CartGrid::new(comm, &[2, 2]);
 //!     let mine = vec![grid.coord(0) as u64 + 1];
 //!     // Sum over the ranks sharing my column (coordinate 1 varies).
-//!     grid.mode_comm(1).allreduce(mine, sum_op)[0]
-//! });
+//!     Ok(grid.mode_comm(1).try_allreduce(mine, sum_op)?[0])
+//! })
+//! .into_iter()
+//! .collect::<Result<Vec<_>, _>>()?;
 //! // Ranks in column 0 sum 1+1, column 1 sums 2+2.
 //! assert_eq!(sums, vec![2, 4, 2, 4]);
+//! # Ok::<(), CommError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,7 +62,7 @@ mod collective_tests {
         for p in [1, 2, 3, 4, 7, 8] {
             Universe::launch(p, |c| {
                 for _ in 0..3 {
-                    c.barrier();
+                    c.try_barrier().unwrap();
                 }
             });
         }
@@ -73,7 +78,7 @@ mod collective_tests {
                     } else {
                         Vec::new()
                     };
-                    c.bcast(root, data)
+                    c.try_bcast(root, data).unwrap()
                 });
                 for v in out {
                     assert_eq!(v, vec![42.5, -1.0, root as f64], "p={p} root={root}");
@@ -88,7 +93,7 @@ mod collective_tests {
             for root in [0, p - 1] {
                 let out = Universe::launch(p, move |c| {
                     let data = vec![c.rank() as u64, 1u64];
-                    c.reduce(root, data, sum_op)
+                    c.try_reduce(root, data, sum_op).unwrap()
                 });
                 let expected_sum: u64 = (0..p as u64).sum();
                 for (r, res) in out.into_iter().enumerate() {
@@ -107,7 +112,7 @@ mod collective_tests {
         for p in [1, 2, 4, 5, 8] {
             let out = Universe::launch(p, |c| {
                 let data = vec![(c.rank() + 1) as f64; 4];
-                c.allreduce(data, sum_op)
+                c.try_allreduce(data, sum_op).unwrap()
             });
             let want: f64 = (1..=p as u64).sum::<u64>() as f64;
             for v in out {
@@ -120,7 +125,7 @@ mod collective_tests {
     fn allreduce_max() {
         let out = Universe::launch(6, |c| {
             let data = vec![(c.rank() * 7 % 5) as i64];
-            c.allreduce(data, max_op)
+            c.try_allreduce(data, max_op).unwrap()
         });
         for v in out {
             assert_eq!(v[0], 4); // max of {0,2,4,1,3,0}
@@ -134,7 +139,7 @@ mod collective_tests {
                 let data: Vec<u64> = (0..c.rank() + 1)
                     .map(|i| (c.rank() * 10 + i) as u64)
                     .collect();
-                c.allgatherv(data)
+                c.try_allgatherv(data).unwrap()
             });
             for blocks in out {
                 assert_eq!(blocks.len(), p);
@@ -154,7 +159,7 @@ mod collective_tests {
                 // must come back as p * [2b, 2b+1].
                 let data: Vec<u64> = (0..2 * p as u64).collect();
                 let counts = vec![2usize; p];
-                c.reduce_scatter(data, &counts, sum_op)
+                c.try_reduce_scatter(data, &counts, sum_op).unwrap()
             });
             for (r, block) in out.into_iter().enumerate() {
                 let want: Vec<u64> = (0..2u64).map(|i| (2 * r as u64 + i) * p as u64).collect();
@@ -170,7 +175,7 @@ mod collective_tests {
         let out = Universe::launch(p, move |c| {
             let scale = (c.rank() + 1) as f64;
             let data: Vec<f64> = (0..6).map(|i| scale * i as f64).collect();
-            c.reduce_scatter(data, &counts, sum_op)
+            c.try_reduce_scatter(data, &counts, sum_op).unwrap()
         });
         // Sum of scales = 1+2+3 = 6.
         let offsets = [0usize, 1, 4];
@@ -189,7 +194,7 @@ mod collective_tests {
             let blocks: Vec<Vec<u64>> = (0..p)
                 .map(|dst| vec![(c.rank() * 100 + dst) as u64])
                 .collect();
-            c.alltoallv(blocks)
+            c.try_alltoallv(blocks).unwrap()
         });
         for (me, received) in out.into_iter().enumerate() {
             for (src, b) in received.into_iter().enumerate() {
@@ -200,7 +205,9 @@ mod collective_tests {
 
     #[test]
     fn gatherv_collects_on_root() {
-        let out = Universe::launch(4, |c| c.gatherv(2, vec![c.rank() as u32; c.rank()]));
+        let out = Universe::launch(4, |c| {
+            c.try_gatherv(2, vec![c.rank() as u32; c.rank()]).unwrap()
+        });
         for (r, res) in out.into_iter().enumerate() {
             if r == 2 {
                 let blocks = res.unwrap();
@@ -219,8 +226,8 @@ mod collective_tests {
         let out = Universe::launch(6, |c| {
             let color = c.rank() % 2;
             let key = 100 - c.rank();
-            let sub = c.split(color, key);
-            let gathered = sub.allgatherv(vec![c.rank() as u64]);
+            let sub = c.try_split(color, key).unwrap();
+            let gathered = sub.try_allgatherv(vec![c.rank() as u64]).unwrap();
             (sub.rank(), sub.size(), gathered)
         });
         for (r, (sub_rank, sub_size, gathered)) in out.into_iter().enumerate() {
@@ -240,9 +247,9 @@ mod collective_tests {
     fn nested_splits_work() {
         // Split twice: 8 → 2 groups of 4 → 4 groups of 2.
         let out = Universe::launch(8, |c| {
-            let sub = c.split(c.rank() / 4, c.rank());
-            let subsub = sub.split(sub.rank() / 2, sub.rank());
-            let s = subsub.allreduce(vec![c.rank() as u64], sum_op);
+            let sub = c.try_split(c.rank() / 4, c.rank()).unwrap();
+            let subsub = sub.try_split(sub.rank() / 2, sub.rank()).unwrap();
+            let s = subsub.try_allreduce(vec![c.rank() as u64], sum_op).unwrap();
             s[0]
         });
         assert_eq!(out, vec![1, 1, 5, 5, 9, 9, 13, 13]);
@@ -252,11 +259,11 @@ mod collective_tests {
     fn point_to_point_between_ranks() {
         let out = Universe::launch(2, |c| {
             if c.rank() == 0 {
-                c.send(1, vec![3.25f32]);
-                c.recv::<f32>(1)
+                c.try_send(1, vec![3.25f32]).unwrap();
+                c.try_recv::<f32>(1).unwrap()
             } else {
-                let got = c.recv::<f32>(0);
-                c.send(0, vec![got[0] * 2.0]);
+                let got = c.try_recv::<f32>(0).unwrap();
+                c.try_send(0, vec![got[0] * 2.0]).unwrap();
                 got
             }
         });
@@ -351,7 +358,7 @@ mod collective_tests {
     fn traffic_accounting_allreduce() {
         let u = Universe::new(4);
         u.run(|c| {
-            let _ = c.allreduce(vec![0.0f64; 100], sum_op);
+            let _ = c.try_allreduce(vec![0.0f64; 100], sum_op).unwrap();
         });
         let (bytes, msgs) = u.traffic().snapshot();
         // Reduce (3 sends of 800B) + bcast (3 sends of 800B) = 4800 bytes.
@@ -369,20 +376,26 @@ mod collective_tests {
     fn collectives_charge_their_own_kind() {
         let u = Universe::new(4);
         u.run(|c| {
-            c.barrier();
-            let _ = c.bcast(1, if c.rank() == 1 { vec![1u64; 5] } else { vec![] });
-            let _ = c.reduce(0, vec![1.0f64; 3], sum_op);
-            let _ = c.allreduce(vec![1.0f64; 2], sum_op);
-            let _ = c.allgatherv(vec![c.rank() as u64; 2]);
-            let _ = c.reduce_scatter(vec![1.0f64; 4], &[1, 1, 1, 1], sum_op);
-            let _ = c.alltoallv((0..4).map(|d| vec![d as u32]).collect());
-            let _ = c.gatherv(3, vec![c.rank() as u8]);
-            let _ = c.split(c.rank() % 2, c.rank());
+            c.try_barrier().unwrap();
+            let _ = c
+                .try_bcast(1, if c.rank() == 1 { vec![1u64; 5] } else { vec![] })
+                .unwrap();
+            let _ = c.try_reduce(0, vec![1.0f64; 3], sum_op).unwrap();
+            let _ = c.try_allreduce(vec![1.0f64; 2], sum_op).unwrap();
+            let _ = c.try_allgatherv(vec![c.rank() as u64; 2]).unwrap();
+            let _ = c
+                .try_reduce_scatter(vec![1.0f64; 4], &[1, 1, 1, 1], sum_op)
+                .unwrap();
+            let _ = c
+                .try_alltoallv((0..4).map(|d| vec![d as u32]).collect())
+                .unwrap();
+            let _ = c.try_gatherv(3, vec![c.rank() as u8]).unwrap();
+            let _ = c.try_split(c.rank() % 2, c.rank()).unwrap();
             if c.rank() == 0 {
-                c.send(1, vec![9i64]);
+                c.try_send(1, vec![9i64]).unwrap();
             }
             if c.rank() == 1 {
-                let _ = c.recv::<i64>(0);
+                let _ = c.try_recv::<i64>(0).unwrap();
             }
         });
         let totals = u.traffic().kind_totals();

@@ -374,7 +374,7 @@ mod tests {
             let ar = c.iallreduce(vec![0.5f64; 3], sum_op);
             drop(ar);
             // The links are clean: this must see its own traffic only.
-            c.allreduce(vec![c.rank() as u64 + 1], sum_op)
+            c.try_allreduce(vec![c.rank() as u64 + 1], sum_op).unwrap()
         });
         assert_eq!(out, vec![vec![3], vec![3]]);
         u.traffic().check_kind_partition().unwrap();

@@ -420,7 +420,7 @@ mod tests {
     #[test]
     fn single_rank_universe() {
         let out = Universe::launch(1, |c| {
-            c.barrier();
+            c.try_barrier().unwrap();
             c.rank()
         });
         assert_eq!(out, vec![0]);
@@ -447,7 +447,7 @@ mod tests {
         let out = u.run(|c| {
             let before = ratucker_mem::budget();
             for _ in 0..8 {
-                c.barrier();
+                c.try_barrier().unwrap();
             }
             (before, ratucker_mem::budget())
         });
@@ -500,7 +500,7 @@ mod tests {
                 panic!("rank 0 dies before sending");
             }
             // Rank 1 blocks on rank 0; must fail fast via PeerClosed.
-            c.recv::<f64>(0).len()
+            c.try_recv::<f64>(0).unwrap_or_else(|e| panic!("{e}")).len()
         });
         assert!(out[0].is_err());
         assert!(out[1].is_err());
@@ -524,7 +524,7 @@ mod tests {
         });
         assert!(bad[0].is_err());
         let good = u.try_run(|c| {
-            c.barrier();
+            c.try_barrier().unwrap_or_else(|e| panic!("{e}"));
             c.rank() + 100
         });
         assert_eq!(
@@ -538,12 +538,14 @@ mod tests {
         let u = Universe::new(4);
         u.set_recv_timeout(Duration::from_secs(20));
         let report = u.explore(8, 42, |c| {
-            let sum = c.allreduce(vec![c.rank() as f64 + 1.0, 2.5], |acc, x| {
-                for (a, b) in acc.iter_mut().zip(x) {
-                    *a += *b;
-                }
-            });
-            c.barrier();
+            let sum = c
+                .try_allreduce(vec![c.rank() as f64 + 1.0, 2.5], |acc, x| {
+                    for (a, b) in acc.iter_mut().zip(x) {
+                        *a += *b;
+                    }
+                })
+                .unwrap_or_else(|e| panic!("{e}"));
+            c.try_barrier().unwrap_or_else(|e| panic!("{e}"));
             // Return raw bits so the comparison is bitwise, not approximate.
             sum.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
         });
@@ -582,7 +584,7 @@ mod tests {
     fn injected_crash_is_reported_per_rank() {
         use crate::fault::FaultPlan;
         let out = Universe::try_launch(2, FaultPlan::quiet(0).with_crash(1, 1), |c| {
-            c.barrier();
+            c.try_barrier().unwrap_or_else(|e| panic!("{e}"));
             c.rank()
         });
         assert!(out[0].is_err() || out[0].is_ok()); // rank 0: PeerClosed panic or completed
@@ -598,13 +600,13 @@ mod tests {
         let u = Universe::new(2);
         u.set_fault_plan(FaultPlan::quiet(0).with_crash(1, 1));
         let first = u.try_run(|c| {
-            c.barrier();
+            c.try_barrier().unwrap_or_else(|e| panic!("{e}"));
             c.rank()
         });
         assert!(first[1].is_err(), "crash plan should fire on first run");
         u.clear_fault_plan();
         let second = u.try_run(|c| {
-            c.barrier();
+            c.try_barrier().unwrap_or_else(|e| panic!("{e}"));
             c.rank()
         });
         for (r, res) in second.iter().enumerate() {

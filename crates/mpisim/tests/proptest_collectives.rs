@@ -20,7 +20,7 @@ proptest! {
         let expected: Vec<f64> = (0..len)
             .map(|i| (0..p).map(|r| payload(r)[i]).sum())
             .collect();
-        let out = Universe::launch(p, move |c| c.allreduce(payload(c.rank()), sum_op));
+        let out = Universe::launch(p, move |c| c.try_allreduce(payload(c.rank()), sum_op).unwrap());
         for v in out {
             prop_assert_eq!(&v, &expected);
         }
@@ -37,7 +37,7 @@ proptest! {
         let expected = data.clone();
         let out = Universe::launch(p, move |c| {
             let send = if c.rank() == root { data.clone() } else { Vec::new() };
-            c.bcast(root, send)
+            c.try_bcast(root, send).unwrap()
         });
         for v in out {
             prop_assert_eq!(&v, &expected);
@@ -52,7 +52,7 @@ proptest! {
         let payload = move |rank: usize| -> Vec<u64> {
             (0..(rank % 3) + 1).map(|i| seed + (rank * 100 + i) as u64).collect()
         };
-        let out = Universe::launch(p, move |c| c.allgatherv(payload(c.rank())));
+        let out = Universe::launch(p, move |c| c.try_allgatherv(payload(c.rank())).unwrap());
         for blocks in out {
             prop_assert_eq!(blocks.len(), p);
             for (r, b) in blocks.iter().enumerate() {
@@ -78,7 +78,7 @@ proptest! {
             .collect();
         let counts2 = counts.clone();
         let out = Universe::launch(p, move |c| {
-            c.reduce_scatter(payload(c.rank()), &counts2, sum_op)
+            c.try_reduce_scatter(payload(c.rank()), &counts2, sum_op).unwrap()
         });
         let mut offset = 0;
         for (r, block) in out.into_iter().enumerate() {
@@ -92,7 +92,7 @@ proptest! {
         let out = Universe::launch(p, move |c| {
             let blocks: Vec<Vec<u64>> =
                 (0..p).map(|dst| vec![seed + (c.rank() * 1000 + dst) as u64]).collect();
-            c.alltoallv(blocks)
+            c.try_alltoallv(blocks).unwrap()
         });
         for (me, rows) in out.into_iter().enumerate() {
             for (src, b) in rows.into_iter().enumerate() {
@@ -126,8 +126,8 @@ proptest! {
 
         let u = Universe::with_fault_plan(p, plan);
         let out = u.run(move |c| {
-            let summed = c.allreduce(payload(c.rank()), sum_op);
-            let gathered = c.allgatherv(payload(c.rank()));
+            let summed = c.try_allreduce(payload(c.rank()), sum_op).unwrap();
+            let gathered = c.try_allgatherv(payload(c.rank())).unwrap();
             (summed, gathered)
         });
         for (summed, gathered) in out {
@@ -165,8 +165,8 @@ proptest! {
                 .collect()
         };
         let workload = move |c: ratucker_mpi::Comm| {
-            let summed = c.allreduce(payload(c.rank()), sum_op);
-            let gathered = c.allgatherv(payload(c.rank()));
+            let summed = c.try_allreduce(payload(c.rank()), sum_op).unwrap();
+            let gathered = c.try_allgatherv(payload(c.rank())).unwrap();
             let bits: Vec<u64> = summed
                 .iter()
                 .chain(gathered.iter().flatten())
@@ -197,7 +197,7 @@ proptest! {
         // no should_panic involved.
         let out = Universe::new(p).try_run(move |c| {
             if c.rank() == 0 {
-                c.send(1, vec![1.0f64, 2.0]);
+                c.try_send(1, vec![1.0f64, 2.0]).unwrap_or_else(|e| panic!("{e}"));
                 Ok(())
             } else if c.rank() == 1 {
                 match c.try_recv::<u64>(0) {
@@ -226,7 +226,7 @@ proptest! {
     fn split_partitions_and_preserves_ranks(p in 1usize..=8, ncolors in 1usize..4) {
         let out = Universe::launch(p, move |c| {
             let color = c.rank() % ncolors;
-            let sub = c.split(color, c.rank());
+            let sub = c.try_split(color, c.rank()).unwrap();
             (color, sub.rank(), sub.size())
         });
         for (rank, (color, sub_rank, sub_size)) in out.into_iter().enumerate() {

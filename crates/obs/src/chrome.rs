@@ -347,10 +347,10 @@ mod tests {
             let _root = span(&c, "run");
             {
                 let _s = span_mode(&c, "TTM", 2);
-                let _ = c.allreduce(vec![1.0f64; 8], sum_op);
+                let _ = c.try_allreduce(vec![1.0f64; 8], sum_op).unwrap();
             }
             let _g = span(&c, "Gram");
-            let _ = c.allgatherv(vec![c.rank() as u64]);
+            let _ = c.try_allgatherv(vec![c.rank() as u64]).unwrap();
         });
         let trace = session.finish();
         let text = export_string(&trace);
@@ -388,7 +388,7 @@ mod tests {
         let session = TraceSession::start();
         Universe::launch(2, |c| {
             let _root = span(&c, "run");
-            let _ = c.allreduce(vec![2.0f64; 4], sum_op);
+            let _ = c.try_allreduce(vec![2.0f64; 4], sum_op).unwrap();
         });
         let trace = session.finish();
         let text = export_string(&trace);

@@ -326,7 +326,7 @@ mod tests {
         Universe::launch(2, |c| {
             let s = span(&c, "noop");
             assert!(!s.is_active());
-            let _ = c.allreduce(vec![1.0f64; 4], sum_op);
+            let _ = c.try_allreduce(vec![1.0f64; 4], sum_op).unwrap();
         });
         flush_current_thread();
         assert!(
@@ -346,14 +346,14 @@ mod tests {
             let _root = span(&c, "run");
             {
                 let _s = span_mode(&c, "TTM", 1);
-                let _ = c.allreduce(vec![1.0f64; 16], sum_op);
+                let _ = c.try_allreduce(vec![1.0f64; 16], sum_op).unwrap();
             }
             {
                 let _outer = span(&c, "outer");
-                let _ = c.allgatherv(vec![c.rank() as u64; 2]);
+                let _ = c.try_allgatherv(vec![c.rank() as u64; 2]).unwrap();
                 {
                     let _inner = span(&c, "inner");
-                    let _ = c.allreduce(vec![0.5f64; 8], sum_op);
+                    let _ = c.try_allreduce(vec![0.5f64; 8], sum_op).unwrap();
                 }
             }
         });

@@ -228,13 +228,6 @@ impl<T: Scalar> DenseTensor<T> {
         DenseTensor::from_vec(Shape::new(ranks), data)
     }
 
-    /// Views the tensor as its mode-0 unfolding: an `n_0 × (N/n_0)`
-    /// column-major matrix *over the same buffer* (zero-copy by layout).
-    pub fn as_mode0_matrix(&self) -> (usize, usize, &[T]) {
-        let n0 = self.dim(0);
-        (n0, self.num_entries() / n0, &self.data)
-    }
-
     /// Reinterprets the buffer under a new shape with equal entry count.
     pub fn reshape(self, shape: impl Into<Shape>) -> DenseTensor<T> {
         let shape = shape.into();

@@ -52,8 +52,15 @@ impl<T: Scalar> DistTucker<T> {
 
     /// Gathers the core on every rank, yielding an ordinary
     /// [`TuckerTensor`]. Collective.
+    ///
+    /// # Panics
+    /// Panics with the error's message if the core allgather fails.
     pub fn gather(&self, grid: &CartGrid) -> TuckerTensor<T> {
-        TuckerTensor::new(self.core.gather_replicated(grid), self.factors.clone())
+        let core = self
+            .core
+            .try_gather_replicated(grid)
+            .unwrap_or_else(|e| panic!("{e}"));
+        TuckerTensor::new(core, self.factors.clone())
     }
 }
 
@@ -154,25 +161,20 @@ fn checked_ttm<T: Scalar>(
     with_abft_retry(ctx, || try_dist_ttm_checked(grid, x, mode, m, trans, abft))
 }
 
-/// Checked multi-TTM (all factors transposed, skipping `skip_mode`)
-/// under the context's ABFT retry policy.
-fn checked_multi_ttm_all_but<T: Scalar>(
+/// Checked TTM chain: multiplies `x` by `factors[m]ᵀ` in each mode `m`
+/// of `modes`, in the given order, under the context's ABFT retry
+/// policy. An empty chain returns a copy of `x`.
+fn checked_ttm_chain<T: Scalar>(
     grid: &CartGrid,
     x: &DistTensor<T>,
     factors: &[Matrix<T>],
-    skip_mode: usize,
+    modes: impl IntoIterator<Item = usize>,
     ctx: &mut SweepCtx,
 ) -> Result<DistTensor<T>, CommError> {
     let mut cur: Option<DistTensor<T>> = None;
-    for (k, u) in factors.iter().enumerate() {
-        if k == skip_mode {
-            continue;
-        }
-        let next = match &cur {
-            None => checked_ttm(grid, x, k, u, Transpose::Yes, ctx)?,
-            Some(t) => checked_ttm(grid, t, k, u, Transpose::Yes, ctx)?,
-        };
-        cur = Some(next);
+    for m in modes {
+        let src = cur.as_ref().unwrap_or(x);
+        cur = Some(checked_ttm(grid, src, m, &factors[m], Transpose::Yes, ctx)?);
     }
     Ok(cur.unwrap_or_else(|| x.clone()))
 }
@@ -262,13 +264,24 @@ fn try_dist_update_factor<T: Scalar>(
 }
 
 /// Distributed STHOSVD (Alg. 1). Collective.
+///
+/// # Panics
+/// Panics with the error's message on the first communication error.
 pub fn dist_sthosvd<T: Scalar>(
     grid: &CartGrid,
     x: &DistTensor<T>,
     trunc: &SthosvdTruncation,
 ) -> DistRunResult<T> {
+    try_dist_sthosvd(grid, x, trunc).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn try_dist_sthosvd<T: Scalar>(
+    grid: &CartGrid,
+    x: &DistTensor<T>,
+    trunc: &SthosvdTruncation,
+) -> Result<DistRunResult<T>, CommError> {
     let d = x.global_shape().order();
-    let x_norm_sq = x.squared_norm(grid);
+    let x_norm_sq = x.try_squared_norm(grid)?;
     let mut timings = Timings::new();
     let mut ctx = SweepCtx::off();
     let mut y = x.clone();
@@ -280,24 +293,21 @@ pub fn dist_sthosvd<T: Scalar>(
                 Truncation::ErrorSq(eps * eps * x_norm_sq / d as f64)
             }
         };
-        let u = try_dist_llsv_gram(grid, &y, j, mode_trunc, &mut timings, &mut ctx)
-            .unwrap_or_else(|e| panic!("{e}"));
-        y = timings
-            .time(Phase::Ttm, || {
-                checked_ttm(grid, &y, j, &u, Transpose::Yes, &mut ctx)
-            })
-            .unwrap_or_else(|e| panic!("{e}"));
+        let u = try_dist_llsv_gram(grid, &y, j, mode_trunc, &mut timings, &mut ctx)?;
+        y = timings.time(Phase::Ttm, || {
+            checked_ttm(grid, &y, j, &u, Transpose::Yes, &mut ctx)
+        })?;
         factors.push(u);
     }
-    let core_norm_sq = y.squared_norm(grid);
+    let core_norm_sq = y.try_squared_norm(grid)?;
     let rel_error = ((x_norm_sq - core_norm_sq).max(0.0) / x_norm_sq).sqrt();
-    DistRunResult {
+    Ok(DistRunResult {
         tucker: DistTucker { core: y, factors },
         rel_error,
         timings,
         sweep_errors: vec![rel_error],
         sweep_ranks: Vec::new(),
-    }
+    })
 }
 
 /// One distributed HOOI sweep (fallible); returns the new core.
@@ -323,7 +333,7 @@ pub(crate) fn try_dist_sweep<T: Scalar>(
             let mut core = None;
             for j in 0..d {
                 let y = timings.time(Phase::Ttm, || {
-                    checked_multi_ttm_all_but(grid, x, factors, j, ctx)
+                    checked_ttm_chain(grid, x, factors, (0..d).filter(|&k| k != j), ctx)
                 })?;
                 try_dist_update_factor(grid, &y, j, ranks[j], config, factors, timings, ctx)?;
                 if j == d - 1 {
@@ -372,43 +382,39 @@ fn try_dist_dimtree_rec<T: Scalar>(
     let mid = modes.len() / 2;
     let (lo, hi) = modes.split_at(mid);
 
-    let x_hi = timings.time(Phase::Ttm, || -> Result<_, CommError> {
-        let mut cur: Option<DistTensor<T>> = None;
-        for &m in hi.iter().rev() {
-            let next = match &cur {
-                None => checked_ttm(grid, x, m, &factors[m], Transpose::Yes, ctx)?,
-                Some(t) => checked_ttm(grid, t, m, &factors[m], Transpose::Yes, ctx)?,
-            };
-            cur = Some(next);
-        }
-        Ok(cur.expect("hi half is nonempty"))
+    let x_hi = timings.time(Phase::Ttm, || {
+        checked_ttm_chain(grid, x, factors, hi.iter().rev().copied(), ctx)
     })?;
     try_dist_dimtree_rec(grid, &x_hi, lo, factors, ranks, config, timings, core, ctx)?;
     drop(x_hi);
 
-    let x_lo = timings.time(Phase::Ttm, || -> Result<_, CommError> {
-        let mut cur: Option<DistTensor<T>> = None;
-        for &m in lo.iter() {
-            let next = match &cur {
-                None => checked_ttm(grid, x, m, &factors[m], Transpose::Yes, ctx)?,
-                Some(t) => checked_ttm(grid, t, m, &factors[m], Transpose::Yes, ctx)?,
-            };
-            cur = Some(next);
-        }
-        Ok(cur.expect("lo half is nonempty"))
+    let x_lo = timings.time(Phase::Ttm, || {
+        checked_ttm_chain(grid, x, factors, lo.iter().copied(), ctx)
     })?;
     try_dist_dimtree_rec(grid, &x_lo, hi, factors, ranks, config, timings, core, ctx)
 }
 
 /// Distributed fixed-rank HOOI (any variant). Collective.
+///
+/// # Panics
+/// Panics with the error's message on the first communication error.
 pub fn dist_hooi<T: Scalar>(
     grid: &CartGrid,
     x: &DistTensor<T>,
     ranks: &[usize],
     config: &HooiConfig,
 ) -> DistRunResult<T> {
+    try_dist_hooi(grid, x, ranks, config).unwrap_or_else(|e| panic!("{e}"))
+}
+
+fn try_dist_hooi<T: Scalar>(
+    grid: &CartGrid,
+    x: &DistTensor<T>,
+    ranks: &[usize],
+    config: &HooiConfig,
+) -> Result<DistRunResult<T>, CommError> {
     let dims: Vec<usize> = x.global_shape().dims().to_vec();
-    let x_norm_sq = x.squared_norm(grid);
+    let x_norm_sq = x.try_squared_norm(grid)?;
     // Same seed on every rank → identical replicated factors.
     let mut factors = crate::hooi::random_init::<T>(&dims, ranks, config.seed);
     let mut timings = Timings::new();
@@ -418,9 +424,8 @@ pub fn dist_hooi<T: Scalar>(
     let mut prev_err = f64::INFINITY;
 
     for _ in 0..config.max_iters {
-        let c = try_dist_sweep(grid, x, &mut factors, ranks, config, &mut timings, &mut ctx)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let g = c.squared_norm(grid);
+        let c = try_dist_sweep(grid, x, &mut factors, ranks, config, &mut timings, &mut ctx)?;
+        let g = c.try_squared_norm(grid)?;
         let rel_error = ((x_norm_sq - g).max(0.0) / x_norm_sq).sqrt();
         core = Some(c);
         sweep_errors.push(rel_error);
@@ -433,7 +438,7 @@ pub fn dist_hooi<T: Scalar>(
     }
 
     let rel_error = *sweep_errors.last().unwrap();
-    DistRunResult {
+    Ok(DistRunResult {
         tucker: DistTucker {
             core: core.expect("max_iters must be at least 1"),
             factors,
@@ -442,7 +447,7 @@ pub fn dist_hooi<T: Scalar>(
         timings,
         sweep_errors,
         sweep_ranks: Vec::new(),
-    }
+    })
 }
 
 /// Distributed rank-adaptive HOOI (Alg. 3). Collective.

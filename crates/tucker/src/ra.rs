@@ -291,7 +291,9 @@ pub struct RaIterInfo {
     pub rel_error: f64,
     /// Whether `‖G‖² ≥ (1−ε²)‖X‖²` held at sweep end.
     pub met_threshold: bool,
-    /// Whether the sweep ended with a core-analysis truncation.
+    /// Whether the sweep ended with a core-analysis truncation that cut
+    /// the ranks (an analysis that keeps the sweep's ranks truncates
+    /// nothing).
     pub truncated: bool,
     /// Relative size of the decomposition after this sweep.
     pub relative_size: f64,
@@ -379,6 +381,7 @@ fn ra_hooi_impl<T: Scalar>(
             &floor,
             0,
         );
+        let truncated = matches!(&step, RaStep::Truncate(r) if *r != ranks);
         let chosen = match step {
             RaStep::Truncate(r) => {
                 let chosen = full.truncate(&r);
@@ -402,7 +405,7 @@ fn ra_hooi_impl<T: Scalar>(
             ranks_out: ranks.clone(),
             rel_error: chosen.rel_error_from_core(x_norm_sq),
             met_threshold: met,
-            truncated: met,
+            truncated,
             relative_size: chosen.relative_size(),
             timings: t,
         });
@@ -695,6 +698,21 @@ mod tests {
         let res = ra_hooi(&x, &cfg);
         assert!(res.iterations[0].truncated);
         assert!(res.timings.flops(Phase::CoreAnalysis) > 0);
+    }
+
+    #[test]
+    fn meeting_the_threshold_at_the_sweep_ranks_reports_no_truncation() {
+        // Exact multilinear rank [3, 3, 3]: one sweep at those ranks
+        // meets a tight ε, and every smaller prefix of the core misses
+        // it, so the core analysis keeps the ranks the sweep ran at.
+        let x = SyntheticSpec::new(&[14, 12, 10], &[3, 3, 3], 0.0, 5).build::<f64>();
+        let cfg = RaConfig::ra_hosi_dt(1e-3, &[3, 3, 3])
+            .with_seed(4)
+            .with_max_iters(1);
+        let it = &ra_hooi(&x, &cfg).iterations[0];
+        assert!(it.met_threshold, "rel_error {}", it.rel_error);
+        assert_eq!(it.ranks_out, it.ranks_in);
+        assert!(!it.truncated);
     }
 
     fn ckpt_dir(name: &str) -> std::path::PathBuf {
