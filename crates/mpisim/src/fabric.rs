@@ -840,6 +840,9 @@ pub struct Fabric {
     fault: Mutex<Option<Arc<FaultState>>>,
     /// Optional schedule-perturbation state (`None` ⇔ [`SchedulePolicy::Os`]).
     schedule: Mutex<Option<Arc<ScheduleState>>>,
+    /// Opaque id of the trace session this fabric's universe belongs to
+    /// (0 = none); see [`crate::universe::adopt_trace_tag`].
+    trace_tag: AtomicU64,
 }
 
 impl Fabric {
@@ -860,6 +863,7 @@ impl Fabric {
             retry: Mutex::new(None),
             fault: Mutex::new(None),
             schedule: Mutex::new(None),
+            trace_tag: AtomicU64::new(0),
         })
     }
 
@@ -871,6 +875,18 @@ impl Fabric {
     /// Traffic counters for this universe.
     pub fn stats(&self) -> &TrafficStats {
         &self.stats
+    }
+
+    /// The trace session tag this fabric's universe carries (0 = none).
+    /// A tracer records a span only when this equals its open session's
+    /// id, so universes outside the session stay out of its trace.
+    #[inline]
+    pub fn trace_tag(&self) -> u64 {
+        self.trace_tag.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn set_trace_tag(&self, tag: u64) {
+        self.trace_tag.store(tag, Ordering::Relaxed);
     }
 
     /// The current receive timeout.

@@ -51,7 +51,7 @@ pub use fabric::{
 pub use fault::{CommError, CorruptMode, FaultPlan, RankFailure};
 pub use grid::{choose_shrunk_dims, enumerate_grids, try_rebuild_grid, CartGrid, ShrinkOutcome};
 pub use request::Request;
-pub use universe::{schedule_suite, ExploreReport, Universe};
+pub use universe::{adopt_trace_tag, schedule_suite, ExploreReport, Universe};
 
 #[cfg(test)]
 mod collective_tests {

@@ -20,6 +20,37 @@ std::thread_local! {
     /// panic hook stays quiet for these threads because the panic is
     /// captured (and re-raised or reported) by the launcher.
     static RANK_THREAD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// The trace session tag of a thread that is not a rank thread
+    /// (0 = none); see [`adopt_trace_tag`].
+    static TRACE_TAG: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// On a rank thread, the fabric of the universe it runs under: its
+    /// trace tag is the thread's.
+    static RANK_FABRIC: std::cell::RefCell<Option<Arc<Fabric>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// The trace session tag of the calling thread: its universe's on a
+/// rank thread, else the tag it last adopted.
+fn current_trace_tag() -> u64 {
+    RANK_FABRIC
+        .with(|f| f.borrow().as_ref().map(|f| f.trace_tag()))
+        .unwrap_or_else(|| TRACE_TAG.with(|t| t.get()))
+}
+
+/// Puts the calling thread into trace session `tag` (0 = none); on a
+/// rank thread, its whole universe joins. Universes the thread creates
+/// or runs afterwards carry the tag on their fabric
+/// ([`Fabric::trace_tag`]), and so do their rank threads. The tag is
+/// opaque here: a tracer opens a session by adopting a fresh nonzero id
+/// and closes it by adopting 0, and records only spans whose fabric
+/// carries its id.
+pub fn adopt_trace_tag(tag: u64) {
+    TRACE_TAG.with(|t| t.set(tag));
+    RANK_FABRIC.with(|f| {
+        if let Some(fabric) = f.borrow().as_ref() {
+            fabric.set_trace_tag(tag);
+        }
+    });
 }
 
 /// Installs (once) a panic hook that suppresses the default "thread
@@ -98,10 +129,13 @@ pub struct Universe {
 }
 
 impl Universe {
-    /// Creates a universe with `p` ranks.
+    /// Creates a universe with `p` ranks. Created on a thread in a
+    /// trace session, it joins that session (see [`adopt_trace_tag`]).
     pub fn new(p: usize) -> Universe {
+        let fabric = Fabric::new(p);
+        fabric.set_trace_tag(current_trace_tag());
         Universe {
-            fabric: Fabric::new(p),
+            fabric,
             mem_budget: std::sync::atomic::AtomicU64::new(NO_BUDGET),
             start_rung: std::sync::atomic::AtomicU8::new(0),
         }
@@ -301,12 +335,20 @@ impl Universe {
     /// [`crate::CommError::PeerClosed`] rather than waiting out the
     /// receive timeout. Never aborts the process; never hangs longer
     /// than the receive timeout.
+    ///
+    /// Run from a thread in a trace session, the universe joins that
+    /// session; run from a thread in none, it keeps the session it has
+    /// (see [`adopt_trace_tag`]).
     pub fn try_run<R, F>(&self, f: F) -> Vec<Result<R, RankFailure>>
     where
         R: Send,
         F: Fn(Comm) -> R + Sync,
     {
         install_quiet_hook();
+        let tag = current_trace_tag();
+        if tag != 0 {
+            self.fabric.set_trace_tag(tag);
+        }
         self.fabric.reset_for_run();
         let p = self.fabric.size();
         let budget = self.mem_budget.load(std::sync::atomic::Ordering::Relaxed);
@@ -319,6 +361,7 @@ impl Universe {
                     let fabric = Arc::clone(&self.fabric);
                     scope.spawn(move || {
                         RANK_THREAD.with(|flag| flag.set(true));
+                        RANK_FABRIC.with(|f| *f.borrow_mut() = Some(Arc::clone(&fabric)));
                         // Fresh ledger per run: replayed schedules (and
                         // reused universes) start from identical
                         // accounting state.
@@ -329,6 +372,7 @@ impl Universe {
                             // Wake peers blocked on this rank.
                             fabric.retire(rank);
                         }
+                        RANK_FABRIC.with(|f| f.borrow_mut().take());
                         result
                     })
                 })

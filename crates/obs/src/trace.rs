@@ -12,8 +12,17 @@
 //! Tracing is **off by default** and near-zero-cost when off:
 //! [`span`] performs one relaxed atomic load and returns an inert guard —
 //! no allocation, no clock read, no counter snapshot. Turning it on is
-//! scoped by a [`TraceSession`], which serializes concurrent sessions
-//! process-wide (important under `cargo test`'s threaded runner).
+//! scoped by a [`TraceSession`]; at most one is open per process (a
+//! second `start()` waits for the first to end).
+//!
+//! A session records only the spans of the universes that belong to
+//! it, so untraced universes running at the same time (parallel tests,
+//! a service's other jobs) stay out of its trace. A universe joins the
+//! open session when it is created on, or run from, a thread in the
+//! session, or when the session is started on one of its rank threads.
+//! A thread is in the session if it started it or is a rank thread of a
+//! universe in it (see [`ratucker_mpi::adopt_trace_tag`]). An armed
+//! span costs one more relaxed load: its fabric's session tag.
 //!
 //! Completed spans land in a bounded per-thread ring buffer (oldest
 //! evicted first, evictions counted); buffers flush to a global
@@ -22,16 +31,20 @@
 //! returning, so by the time [`TraceSession::finish`] runs every rank's
 //! spans are in the collector.
 
-use ratucker_mpi::{Comm, KindSnapshot, TrafficStats};
+use ratucker_mpi::{adopt_trace_tag, Comm, KindSnapshot, TrafficStats};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Default per-thread ring-buffer capacity (spans retained per rank).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Id of the open session (0 = tracing off). Ids come from
+/// [`NEXT_SESSION`] and are never reused, so a universe still tagged
+/// with a closed session's id never matches a later one.
+static ENABLED: AtomicU64 = AtomicU64::new(0);
+static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
 static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 static EVICTED: AtomicU64 = AtomicU64::new(0);
 static COLLECTOR: Mutex<Vec<SpanEvent>> = Mutex::new(Vec::new());
@@ -42,7 +55,15 @@ static CLOCK: OnceLock<Instant> = OnceLock::new();
 /// whole cost of a disabled [`span`] call site.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed) != 0
+}
+
+/// Does a span on `comm` record? Only while a session is open and
+/// `comm`'s universe belongs to it.
+#[inline]
+fn armed(comm: &Comm) -> bool {
+    let id = ENABLED.load(Ordering::Relaxed);
+    id != 0 && comm.fabric().trace_tag() == id
 }
 
 /// Microseconds since the process-wide trace clock origin.
@@ -144,10 +165,10 @@ struct SpanInner<'a> {
 
 /// Opens a span for `phase` on the calling rank (identified through
 /// `comm`'s world-rank mapping). Near-zero-cost no-op when tracing is
-/// disabled.
+/// disabled or `comm`'s universe is not in the open session.
 #[inline]
 pub fn span<'a>(comm: &'a Comm, phase: &'static str) -> Span<'a> {
-    if !enabled() {
+    if !armed(comm) {
         return Span { inner: None };
     }
     span_armed(comm, phase, None)
@@ -156,7 +177,7 @@ pub fn span<'a>(comm: &'a Comm, phase: &'static str) -> Span<'a> {
 /// [`span`] with a tensor-mode tag.
 #[inline]
 pub fn span_mode<'a>(comm: &'a Comm, phase: &'static str, mode: usize) -> Span<'a> {
-    if !enabled() {
+    if !armed(comm) {
         return Span { inner: None };
     }
     span_armed(comm, phase, Some(mode))
@@ -181,8 +202,8 @@ fn span_armed<'a>(comm: &'a Comm, phase: &'static str, mode: Option<usize>) -> S
 }
 
 impl Span<'_> {
-    /// Is this guard actually recording (tracing was enabled when it
-    /// opened)?
+    /// Is this guard actually recording (its universe was in the open
+    /// session when it opened)?
     pub fn is_active(&self) -> bool {
         self.inner.is_some()
     }
@@ -263,10 +284,19 @@ impl Trace {
 
 /// Scoped ownership of the (process-global) tracer.
 ///
-/// `start()` clears the collector and enables tracing; [`finish`]
-/// disables it and returns the [`Trace`]. Sessions are mutually
-/// exclusive: a second `start()` blocks until the first session is
-/// dropped, so parallel tests cannot interleave their spans.
+/// `start()` clears the collector, opens a session with a fresh id and
+/// puts the calling thread in it; [`finish`] closes it and returns the
+/// [`Trace`]. Sessions are mutually exclusive: a second `start()`
+/// blocks until the first session is dropped.
+///
+/// Only universes in the session record spans. A universe joins when
+/// it is created on, or run from, a thread in the session, or when
+/// `start()` is called on one of its rank threads (rank 0 opening the
+/// session mid-run, followed by a barrier, traces every rank). A thread
+/// is in the session if it started it or is a rank thread of a
+/// universe in it. Every other universe — an untraced one running at
+/// the same time, say in a parallel test — records nothing, so the
+/// trace's self-traffic partitions its own universes' counters only.
 pub struct TraceSession {
     _lock: MutexGuard<'static, ()>,
 }
@@ -285,7 +315,9 @@ impl TraceSession {
         EVICTED.store(0, Ordering::Relaxed);
         RING_CAPACITY.store(capacity.max(1), Ordering::Relaxed);
         let _ = CLOCK.get_or_init(Instant::now);
-        ENABLED.store(true, Ordering::SeqCst);
+        let id = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
+        adopt_trace_tag(id);
+        ENABLED.store(id, Ordering::SeqCst);
         TraceSession { _lock: lock }
     }
 
@@ -294,7 +326,7 @@ impl TraceSession {
     /// buffers flush on thread exit; the calling thread is flushed
     /// explicitly.
     pub fn finish(self) -> Trace {
-        ENABLED.store(false, Ordering::SeqCst);
+        close_session();
         flush_current_thread();
         let events = std::mem::take(&mut *COLLECTOR.lock().unwrap_or_else(|e| e.into_inner()));
         Trace {
@@ -306,22 +338,58 @@ impl TraceSession {
 
 impl Drop for TraceSession {
     fn drop(&mut self) {
-        // finish() already cleared the flag; this covers early drops.
-        ENABLED.store(false, Ordering::SeqCst);
+        // finish() already closed the session; this covers early drops.
+        close_session();
     }
+}
+
+/// Turns tracing off and takes the calling thread (and, on a rank
+/// thread, its universe) out of the session.
+fn close_session() {
+    ENABLED.store(0, Ordering::SeqCst);
+    adopt_trace_tag(0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ratucker_mpi::{sum_op, CollectiveKind, Universe};
+    use std::sync::Barrier;
+
+    /// Per rank and per kind, the trace's self-traffic equals `u`'s
+    /// fabric counters.
+    fn assert_rank_partition(trace: &Trace, u: &Universe) {
+        assert_eq!(trace.evicted, 0);
+        for r in 0..u.size() {
+            let mut sum = KindSnapshot::default();
+            for e in trace.events_of_rank(r) {
+                sum.merge(&e.traffic);
+            }
+            assert_eq!(sum, u.traffic().kind_snapshot_for(r), "rank {r}");
+        }
+        assert_eq!(trace.totals(), u.traffic().kind_totals());
+    }
+
+    /// A root span over collectives, with every rank of every universe
+    /// sharing `overlap` held at its barrier inside the span.
+    fn overlapping_work(c: &Comm, phase: &'static str, overlap: &Barrier) {
+        let _root = span(c, phase);
+        let _ = c.try_allreduce(vec![c.rank() as f64; 32], sum_op).unwrap();
+        overlap.wait();
+        {
+            let _s = span_mode(c, phase, 0);
+            let _ = c.try_allgatherv(vec![c.rank() as u64; 3]).unwrap();
+        }
+        overlap.wait();
+        c.try_barrier().unwrap();
+    }
 
     #[test]
     fn disabled_spans_are_inert() {
         // Hold the session lock (without enabling) so concurrent tests
         // cannot flip the global flag under us.
         let _guard = SESSION.lock().unwrap_or_else(|e| e.into_inner());
-        ENABLED.store(false, Ordering::SeqCst);
+        ENABLED.store(0, Ordering::SeqCst);
         COLLECTOR.lock().unwrap_or_else(|e| e.into_inner()).clear();
         Universe::launch(2, |c| {
             let s = span(&c, "noop");
@@ -403,5 +471,87 @@ mod tests {
         assert_eq!(trace.evicted, 3);
         let modes: Vec<_> = trace.events.iter().map(|e| e.mode.unwrap()).collect();
         assert_eq!(modes, vec![3, 4]);
+    }
+
+    #[test]
+    fn untraced_universe_stays_out_of_a_concurrent_session() {
+        const TRACED: usize = 2;
+        const UNTRACED: usize = 3;
+        let overlap = Barrier::new(TRACED + UNTRACED);
+        let session = TraceSession::start();
+        let traced = Universe::new(TRACED);
+        std::thread::scope(|s| {
+            // A plain thread is in no session, so the universe it
+            // creates and runs is not either.
+            s.spawn(|| Universe::new(UNTRACED).run(|c| overlapping_work(&c, "untraced", &overlap)));
+            traced.run(|c| overlapping_work(&c, "traced", &overlap));
+        });
+        let trace = session.finish();
+        assert!(
+            trace.events.iter().all(|e| e.phase == "traced"),
+            "the untraced universe's spans leaked into the trace"
+        );
+        assert_eq!(trace.ranks(), TRACED);
+        assert_rank_partition(&trace, &traced);
+    }
+
+    #[test]
+    fn session_opened_on_rank_zero_traces_every_rank() {
+        let u = Universe::new(3);
+        let traces = u.run(|c| {
+            let session = (c.rank() == 0).then(TraceSession::start);
+            c.try_barrier().unwrap();
+            {
+                let _s = span(&c, "work");
+                let _ = c.try_allreduce(vec![1.0f64; 16], sum_op).unwrap();
+            }
+            // Every rank's spans reach the collector before rank 0
+            // ends the session.
+            flush_current_thread();
+            c.try_barrier().unwrap();
+            session.map(TraceSession::finish)
+        });
+        let trace = traces.into_iter().flatten().next().expect("rank 0's trace");
+        for r in 0..u.size() {
+            assert_eq!(trace.events_of_rank(r).count(), 1, "rank {r}");
+        }
+        let kind = CollectiveKind::Allreduce;
+        assert_eq!(
+            trace.totals().bytes_of(kind),
+            u.traffic().kind_totals().bytes_of(kind)
+        );
+        assert!(trace.totals().bytes_of(kind) > 0);
+    }
+
+    #[test]
+    fn universe_created_in_session_is_traced_when_run_elsewhere() {
+        let session = TraceSession::start();
+        let u = Universe::new(2);
+        // Like the service: created on the session's thread, run from
+        // a worker thread that is in no session.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                u.run(|c| {
+                    let _root = span(&c, "job");
+                    let _ = c.try_allreduce(vec![1.0f64; 8], sum_op).unwrap();
+                })
+            });
+        });
+        let trace = session.finish();
+        assert_eq!(trace.ranks(), 2);
+        assert_rank_partition(&trace, &u);
+    }
+
+    #[test]
+    fn universe_created_before_session_is_traced_when_run_in_it() {
+        let u = Universe::new(2);
+        let session = TraceSession::start();
+        u.run(|c| {
+            let _root = span(&c, "layer");
+            let _ = c.try_allgatherv(vec![c.rank() as u64; 4]).unwrap();
+        });
+        let trace = session.finish();
+        assert_eq!(trace.ranks(), 2);
+        assert_rank_partition(&trace, &u);
     }
 }
