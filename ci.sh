@@ -29,7 +29,7 @@ cargo test -q --offline -p ratucker-verify --test explore -- \
   p8_budget_pressure_converges_to_identical_state_under_25_schedules \
   p4_pipelined_ttm_si_bit_identical_under_25_schedules
 
-echo "==> verify: conformance sweep d in {3,4} x P in {1,2,4,8} vs sequential oracles"
+echo "==> verify: conformance sweep d in {3,4} x P in {1,2,4,8} vs textbook oracles and P = 1"
 cargo test -q --offline --test conformance
 
 echo "==> kernel proptests (packed GEMM/SYRK vs naive oracles, 1 vs 4 workers bit-identical)"

@@ -27,8 +27,9 @@ use ratucker_dist::{
 };
 use ratucker_linalg::evd::rank_for_error;
 use ratucker_linalg::qr::qrcp;
-use ratucker_mpi::CartGrid;
 use ratucker_mpi::CommError;
+use ratucker_mpi::{CartGrid, Universe};
+use ratucker_tensor::dense::DenseTensor;
 use ratucker_tensor::io::IoScalar;
 use ratucker_tensor::matrix::Matrix;
 use ratucker_tensor::scalar::Scalar;
@@ -78,6 +79,31 @@ pub struct DistRunResult<T: Scalar> {
     pub sweep_errors: Vec<f64>,
     /// Per-sweep rank vectors (rank-adaptive runs).
     pub sweep_ranks: Vec<Vec<usize>>,
+    /// Per-sweep threshold verdicts `‖G‖² ≥ (1−ε²)‖X‖²` (rank-adaptive
+    /// runs).
+    pub sweep_met: Vec<bool>,
+    /// Per-sweep phase breakdowns (rank-adaptive runs); `timings` also
+    /// counts failed attempts and recovery rounds.
+    pub sweep_timings: Vec<Timings>,
+}
+
+/// Runs `solve` on a one-rank universe over an all-ones grid, with `x`
+/// copied into the rank's block, and returns its result with the core
+/// gathered. The single-tensor entry points are this call: each costs one
+/// thread spawn and one copy of `x`, and gives bit for bit the result
+/// of the same solver on a grid of one.
+pub(crate) fn on_one_rank<T: Scalar>(
+    x: &DenseTensor<T>,
+    solve: impl Fn(&CartGrid, &DistTensor<T>) -> DistRunResult<T> + Sync,
+) -> (DistRunResult<T>, TuckerTensor<T>) {
+    let ones = vec![1; x.order()];
+    let mut out = Universe::launch(1, |comm| {
+        let grid = CartGrid::new(comm, &ones);
+        let res = solve(&grid, &DistTensor::scatter_from_replicated(&grid, x));
+        let tucker = res.tucker.gather(&grid);
+        (res, tucker)
+    });
+    out.pop().expect("a one-rank universe returns one result")
 }
 
 /// ABFT bookkeeping for a resilient run: how many checksum mismatches
@@ -218,8 +244,8 @@ fn try_dist_llsv_subspace<T: Scalar>(
 ) -> Result<Matrix<T>, CommError> {
     let mut u = u_prev.clone();
     for _ in 0..steps.max(1) {
-        // Both Alg. 5 multiplies are charged to the Contract ("SI") phase,
-        // matching the sequential accounting.
+        // Both Alg. 5 multiplies are charged to the Contract ("SI") phase:
+        // together they are Table 1's SI row.
         let g_core = {
             let abft = ctx.abft;
             with_abft_retry(ctx, || {
@@ -307,6 +333,8 @@ fn try_dist_sthosvd<T: Scalar>(
         timings,
         sweep_errors: vec![rel_error],
         sweep_ranks: Vec::new(),
+        sweep_met: Vec::new(),
+        sweep_timings: Vec::new(),
     })
 }
 
@@ -404,19 +432,22 @@ pub fn dist_hooi<T: Scalar>(
     ranks: &[usize],
     config: &HooiConfig,
 ) -> DistRunResult<T> {
-    try_dist_hooi(grid, x, ranks, config).unwrap_or_else(|e| panic!("{e}"))
+    // Same seed on every rank → identical replicated factors.
+    let init = crate::hooi::random_init::<T>(x.global_shape().dims(), ranks, config.seed);
+    try_dist_hooi(grid, x, ranks, &init, config).unwrap_or_else(|e| panic!("{e}"))
 }
 
-fn try_dist_hooi<T: Scalar>(
+/// Distributed fixed-rank HOOI from the replicated initial factors
+/// `init` (fallible).
+pub(crate) fn try_dist_hooi<T: Scalar>(
     grid: &CartGrid,
     x: &DistTensor<T>,
     ranks: &[usize],
+    init: &[Matrix<T>],
     config: &HooiConfig,
 ) -> Result<DistRunResult<T>, CommError> {
-    let dims: Vec<usize> = x.global_shape().dims().to_vec();
     let x_norm_sq = x.try_squared_norm(grid)?;
-    // Same seed on every rank → identical replicated factors.
-    let mut factors = crate::hooi::random_init::<T>(&dims, ranks, config.seed);
+    let mut factors = init.to_vec();
     let mut timings = Timings::new();
     let mut ctx = SweepCtx::off();
     let mut sweep_errors = Vec::new();
@@ -447,6 +478,8 @@ fn try_dist_hooi<T: Scalar>(
         timings,
         sweep_errors,
         sweep_ranks: Vec::new(),
+        sweep_met: Vec::new(),
+        sweep_timings: Vec::new(),
     })
 }
 
@@ -510,8 +543,10 @@ fn ra_driver_off<T: Scalar>(
 mod tests {
     use super::*;
     use crate::synthetic::SyntheticSpec;
-    use ratucker_mpi::Universe;
-    use ratucker_tensor::dense::DenseTensor;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use ratucker_tensor::random::{normal_tensor, random_orthonormal};
+    use ratucker_tensor::ttm::ttm;
 
     fn build_dist<T: Scalar>(
         grid: &CartGrid,
@@ -692,6 +727,27 @@ mod tests {
     }
 
     #[test]
+    fn dist_ra_run_ending_on_growth_returns_its_last_sweeps_factors() {
+        // A tolerance no sweep meets: every sweep ends in a growth step,
+        // the last one included.
+        let spec = SyntheticSpec::new(&[12, 10, 8], &[3, 3, 2], 0.05, 215);
+        let cfg = RaConfig::ra_hosi_dt(1e-9, &[2, 2, 2])
+            .with_seed(23)
+            .with_max_iters(2);
+        let out = Universe::launch(2, move |c| {
+            let grid = CartGrid::new(c, &[2, 1, 1]);
+            let (x, _) = build_dist::<f64>(&grid, &spec);
+            let res = dist_ra_hooi(&grid, &x, &cfg);
+            (res.sweep_ranks.clone(), res.tucker.gather(&grid))
+        });
+        for (sweep_ranks, tucker) in out {
+            assert_eq!(sweep_ranks, vec![vec![3, 3, 3], vec![5, 5, 5]]);
+            assert_eq!(tucker.ranks(), vec![3, 3, 3]);
+            assert!(tucker.factors.iter().all(|u| u.cols() == 3));
+        }
+    }
+
+    #[test]
     fn dist_ra_undershoot_grows_ranks() {
         let spec = SyntheticSpec::new(&[12, 10, 8], &[3, 3, 2], 0.01, 211);
         let cfg = RaConfig::ra_hosi_dt(0.05, &[2, 2, 2])
@@ -709,5 +765,142 @@ mod tests {
             assert!(err <= 0.05, "tolerance violated: {err}");
             assert!(sweep_ranks[0] > vec![2, 2, 2] || sweep_ranks.len() > 1);
         }
+    }
+
+    /// Runs one LLSV kernel on a grid of one holding `x`; returns the
+    /// factor and the phases the kernel charged.
+    fn llsv_on_one_rank(
+        x: &DenseTensor<f64>,
+        llsv: impl Fn(
+                &CartGrid,
+                &DistTensor<f64>,
+                &mut Timings,
+                &mut SweepCtx,
+            ) -> Result<Matrix<f64>, CommError>
+            + Sync,
+    ) -> (Matrix<f64>, Timings) {
+        let ones = vec![1; x.order()];
+        let mut out = Universe::launch(1, |c| {
+            let grid = CartGrid::new(c, &ones);
+            let y = DistTensor::scatter_from_replicated(&grid, x);
+            let mut t = Timings::new();
+            let u = llsv(&grid, &y, &mut t, &mut SweepCtx::off()).expect("fault-free LLSV");
+            (u, t)
+        });
+        out.pop().unwrap()
+    }
+
+    fn llsv_gram(x: &DenseTensor<f64>, mode: usize, trunc: Truncation) -> (Matrix<f64>, Timings) {
+        llsv_on_one_rank(x, |g, y, t, c| try_dist_llsv_gram(g, y, mode, trunc, t, c))
+    }
+
+    fn llsv_subspace(
+        x: &DenseTensor<f64>,
+        mode: usize,
+        u_prev: &Matrix<f64>,
+        steps: usize,
+    ) -> (Matrix<f64>, Timings) {
+        llsv_on_one_rank(x, |g, y, t, c| {
+            try_dist_llsv_subspace(g, y, mode, u_prev, steps, t, c)
+        })
+    }
+
+    /// A 3-way tensor with a known mode-0 subspace of dimension 2.
+    fn structured_tensor(seed: u64) -> (DenseTensor<f64>, Matrix<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let u: Matrix<f64> = random_orthonormal(8, 2, &mut rng);
+        let core: DenseTensor<f64> = normal_tensor([2, 5, 4], &mut rng);
+        let x = ttm(&core, 0, &u, Transpose::No);
+        (x, u)
+    }
+
+    fn subspace_distance(a: &Matrix<f64>, b: &Matrix<f64>) -> f64 {
+        // ‖A Aᵀ − B Bᵀ‖_max for orthonormal A, B of equal rank.
+        let pa = a.matmul(&a.transpose());
+        let pb = b.matmul(&b.transpose());
+        pa.max_abs_diff(&pb)
+    }
+
+    #[test]
+    fn gram_evd_recovers_exact_subspace() {
+        let (x, u_true) = structured_tensor(5);
+        let (u, t) = llsv_gram(&x, 0, Truncation::Rank(2));
+        assert_eq!(u.cols(), 2);
+        assert!(u.orthonormality_defect() < 1e-12);
+        assert!(subspace_distance(&u, &u_true) < 1e-10);
+        assert!(t.flops(Phase::Gram) > 0);
+        assert!(t.flops(Phase::Evd) > 0);
+    }
+
+    #[test]
+    fn error_specified_rank_selection() {
+        let (x, _) = structured_tensor(6);
+        // Tiny error budget (above round-off, below the spectrum) → the
+        // numerical rank of the exactly-rank-2 unfolding.
+        let (u, _) = llsv_gram(&x, 0, Truncation::ErrorSq(1e-9));
+        assert_eq!(u.cols(), 2);
+        // Huge budget → rank 1.
+        let (u1, _) = llsv_gram(&x, 0, Truncation::ErrorSq(1e12));
+        assert_eq!(u1.cols(), 1);
+    }
+
+    #[test]
+    fn subspace_iter_recovers_exact_subspace_from_random_start() {
+        let (x, u_true) = structured_tensor(7);
+        let mut rng = StdRng::seed_from_u64(99);
+        let u0: Matrix<f64> = random_orthonormal(8, 2, &mut rng);
+        // With an exactly rank-2 unfolding, a single subspace iteration
+        // lands in the true subspace (A Aᵀ applied to any full-rank start
+        // spans the range of A).
+        let (u, t) = llsv_subspace(&x, 0, &u0, 1);
+        assert_eq!(u.cols(), 2);
+        assert!(u.orthonormality_defect() < 1e-12);
+        assert!(subspace_distance(&u, &u_true) < 1e-9);
+        assert!(t.flops(Phase::Contract) > 0);
+        assert!(t.flops(Phase::Qr) > 0);
+    }
+
+    #[test]
+    fn subspace_iter_matches_gram_route_on_dominant_subspace() {
+        // With noise, one subspace iteration from the Gram answer must stay
+        // on the Gram answer (it is an invariant subspace).
+        let (mut x, _) = structured_tensor(8);
+        let mut rng = StdRng::seed_from_u64(1);
+        let noise: DenseTensor<f64> = normal_tensor(x.shape().clone(), &mut rng);
+        x.add_scaled(1e-6, &noise);
+        let (u_gram, _) = llsv_gram(&x, 0, Truncation::Rank(2));
+        let (u_si, _) = llsv_subspace(&x, 0, &u_gram, 1);
+        assert!(subspace_distance(&u_gram, &u_si) < 1e-4);
+    }
+
+    #[test]
+    fn works_on_middle_and_last_modes() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let u1: Matrix<f64> = random_orthonormal(6, 2, &mut rng);
+        let core: DenseTensor<f64> = normal_tensor([4, 2, 5], &mut rng);
+        let x = ttm(&core, 1, &u1, Transpose::No);
+        let (got, _) = llsv_gram(&x, 1, Truncation::Rank(2));
+        assert!(subspace_distance(&got, &u1) < 1e-10);
+        let (got_si, _) = llsv_subspace(&x, 1, &got, 1);
+        assert!(subspace_distance(&got_si, &u1) < 1e-10);
+    }
+
+    #[test]
+    fn multi_step_subspace_iteration_improves_noisy_start() {
+        // Gapped spectrum with noise: more SI steps from a random start
+        // must land at least as close to the dominant subspace.
+        let (mut x, u_true) = structured_tensor(9);
+        let mut rng = StdRng::seed_from_u64(2);
+        let noise: DenseTensor<f64> = normal_tensor(x.shape().clone(), &mut rng);
+        x.add_scaled(0.05, &noise);
+        let u0: Matrix<f64> = random_orthonormal(8, 2, &mut rng);
+        let (one, _) = llsv_subspace(&x, 0, &u0, 1);
+        let (many, _) = llsv_subspace(&x, 0, &u0, 4);
+        let d1 = subspace_distance(&one, &u_true);
+        let d4 = subspace_distance(&many, &u_true);
+        // With a wide spectral gap one step already converges to the
+        // noise floor; extra steps must stay there (never diverge).
+        assert!(d4 <= d1 + 1e-3, "1 step: {d1}, 4 steps: {d4}");
+        assert!(d4 < 0.05, "4 steps should converge tightly: {d4}");
     }
 }

@@ -13,9 +13,12 @@
 //! partial multi-TTM products, cutting the TTM flops from `2d·rn^d/P` to
 //! `4·rn^d/P` (§3.3). Subspace iteration replaces the `n×n` Gram + `O(n³)`
 //! EVD with two thin products and an `n×r` QRCP (§3.4).
+//!
+//! The sweep is written once, in `crate::dist` (`try_dist_sweep`);
+//! [`hooi`] and [`hooi_with_init`] run it on a grid of one rank.
 
-use crate::llsv::{llsv_gram_evd, llsv_subspace_iter, Truncation};
-use crate::timings::{Phase, Timings};
+use crate::dist::{on_one_rank, try_dist_hooi};
+use crate::timings::Timings;
 use crate::tucker_tensor::TuckerTensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,7 +26,6 @@ use ratucker_tensor::dense::DenseTensor;
 use ratucker_tensor::matrix::Matrix;
 use ratucker_tensor::random::random_orthonormal;
 use ratucker_tensor::scalar::Scalar;
-use ratucker_tensor::ttm::{multi_ttm_all_but, ttm, Transpose};
 
 /// Multi-TTM evaluation strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,8 +132,6 @@ impl HooiConfig {
 pub struct SweepInfo {
     /// Relative error at sweep end (core-norm identity).
     pub rel_error: f64,
-    /// Phase breakdown of the sweep.
-    pub timings: Timings,
 }
 
 /// Result of a fixed-rank HOOI run.
@@ -165,175 +165,38 @@ pub fn random_init<T: Scalar>(dims: &[usize], ranks: &[usize], seed: u64) -> Vec
 }
 
 /// Runs fixed-rank HOOI (any variant) from random initial factors.
+///
+/// This is [`crate::dist::dist_hooi`] on one rank (see
+/// [`hooi_with_init`] for the cost).
 pub fn hooi<T: Scalar>(x: &DenseTensor<T>, ranks: &[usize], config: &HooiConfig) -> HooiResult<T> {
     let factors = random_init(x.shape().dims(), ranks, config.seed);
     hooi_with_init(x, ranks, factors, config)
 }
 
 /// Runs fixed-rank HOOI from the given initial factors.
+///
+/// The sweeps are the distributed ones (`crate::dist`), run on a
+/// one-rank universe over an all-ones grid: each call spawns one thread
+/// and copies `x` once into the rank's block.
 pub fn hooi_with_init<T: Scalar>(
     x: &DenseTensor<T>,
     ranks: &[usize],
-    mut factors: Vec<Matrix<T>>,
+    factors: Vec<Matrix<T>>,
     config: &HooiConfig,
 ) -> HooiResult<T> {
     assert_eq!(ranks.len(), x.order());
-    let x_norm_sq = x.squared_norm_f64();
-    let mut total = Timings::new();
-    let mut sweeps = Vec::new();
-    let mut prev_err = f64::INFINITY;
-    let mut core: Option<DenseTensor<T>> = None;
-
-    for _ in 0..config.max_iters {
-        let mut t = Timings::new();
-        let c = run_sweep(x, &mut factors, ranks, config, &mut t);
-        let rel_error = {
-            let g = c.squared_norm_f64();
-            ((x_norm_sq - g).max(0.0) / x_norm_sq).sqrt()
-        };
-        core = Some(c);
-        total.merge(&t);
-        sweeps.push(SweepInfo {
-            rel_error,
-            timings: t,
-        });
-        if let Some(tol) = config.tol {
-            if (prev_err - rel_error).abs() <= tol * rel_error.max(f64::EPSILON) {
-                break;
-            }
-        }
-        prev_err = rel_error;
-    }
-
-    let core = core.expect("max_iters must be at least 1");
+    let (res, tucker) = on_one_rank(x, |grid, xd| {
+        try_dist_hooi(grid, xd, ranks, &factors, config).unwrap_or_else(|e| panic!("{e}"))
+    });
     HooiResult {
-        tucker: TuckerTensor::new(core, factors),
-        sweeps,
-        timings: total,
+        tucker,
+        sweeps: res
+            .sweep_errors
+            .into_iter()
+            .map(|rel_error| SweepInfo { rel_error })
+            .collect(),
+        timings: res.timings,
     }
-}
-
-/// One full HOOI sweep: updates every factor, returns the new core.
-pub fn run_sweep<T: Scalar>(
-    x: &DenseTensor<T>,
-    factors: &mut [Matrix<T>],
-    ranks: &[usize],
-    config: &HooiConfig,
-    timings: &mut Timings,
-) -> DenseTensor<T> {
-    match config.ttm {
-        TtmStrategy::Direct => sweep_direct(x, factors, ranks, config, timings),
-        TtmStrategy::DimTree => sweep_dimtree(x, factors, ranks, config, timings),
-    }
-}
-
-/// Updates one factor from the all-but-one product `y`.
-fn update_factor<T: Scalar>(
-    y: &DenseTensor<T>,
-    mode: usize,
-    rank: usize,
-    config: &HooiConfig,
-    factors: &mut [Matrix<T>],
-    timings: &mut Timings,
-) {
-    factors[mode] = match config.llsv {
-        LlsvStrategy::GramEvd => llsv_gram_evd(y, mode, Truncation::Rank(rank), timings),
-        LlsvStrategy::SubspaceIter => {
-            llsv_subspace_iter(y, mode, &factors[mode], config.si_steps, timings)
-        }
-    };
-}
-
-/// Direct sweep (Alg. 2 lines 4–7 + the line-9 core update).
-fn sweep_direct<T: Scalar>(
-    x: &DenseTensor<T>,
-    factors: &mut [Matrix<T>],
-    ranks: &[usize],
-    config: &HooiConfig,
-    timings: &mut Timings,
-) -> DenseTensor<T> {
-    let d = x.order();
-    let mut core = None;
-    for j in 0..d {
-        let y = timings.time(Phase::Ttm, || multi_ttm_all_but(x, factors, j));
-        update_factor(&y, j, ranks[j], config, factors, timings);
-        if j == d - 1 {
-            core = Some(timings.time(Phase::Ttm, || ttm(&y, j, &factors[j], Transpose::Yes)));
-        }
-    }
-    core.expect("tensor has at least one mode")
-}
-
-/// Dimension-tree sweep (Alg. 4, with the paper's branch order: the
-/// low-mode half of the tree is visited first — its leaves are reached by
-/// multiplying the *high* modes from mode `d` downward for memory
-/// locality — so the mode-`d−1` leaf comes last and computes the core from
-/// fully-updated factors).
-fn sweep_dimtree<T: Scalar>(
-    x: &DenseTensor<T>,
-    factors: &mut [Matrix<T>],
-    ranks: &[usize],
-    config: &HooiConfig,
-    timings: &mut Timings,
-) -> DenseTensor<T> {
-    let d = x.order();
-    let modes: Vec<usize> = (0..d).collect();
-    let mut core = None;
-    dimtree_rec(x, &modes, factors, ranks, config, timings, &mut core);
-    core.expect("mode d-1 leaf must set the core")
-}
-
-fn dimtree_rec<T: Scalar>(
-    x: &DenseTensor<T>,
-    modes: &[usize],
-    factors: &mut [Matrix<T>],
-    ranks: &[usize],
-    config: &HooiConfig,
-    timings: &mut Timings,
-    core: &mut Option<DenseTensor<T>>,
-) {
-    let d = factors.len();
-    if modes.len() == 1 {
-        let m = modes[0];
-        update_factor(x, m, ranks[m], config, factors, timings);
-        if m == d - 1 {
-            *core = Some(timings.time(Phase::Ttm, || ttm(x, m, &factors[m], Transpose::Yes)));
-        }
-        return;
-    }
-    let mid = modes.len() / 2;
-    let (lo, hi) = modes.split_at(mid);
-
-    // Multiply the high half (mode d first — the layout-friendly order the
-    // paper uses in the left branch), then recurse into the low half.
-    let x_hi = timings.time(Phase::Ttm, || {
-        let mut cur = None;
-        for &m in hi.iter().rev() {
-            let next = match &cur {
-                None => ttm(x, m, &factors[m], Transpose::Yes),
-                Some(t) => ttm(t, m, &factors[m], Transpose::Yes),
-            };
-            cur = Some(next);
-        }
-        cur.expect("hi half is nonempty")
-    });
-    dimtree_rec(&x_hi, lo, factors, ranks, config, timings, core);
-    drop(x_hi);
-
-    // Multiply the (freshly updated) low half in ascending order, then
-    // recurse into the high half.
-    let x_lo = timings.time(Phase::Ttm, || {
-        let mut cur = None;
-        for &m in lo.iter() {
-            let next = match &cur {
-                None => ttm(x, m, &factors[m], Transpose::Yes),
-                Some(t) => ttm(t, m, &factors[m], Transpose::Yes),
-            };
-            cur = Some(next);
-        }
-        cur.expect("lo half is nonempty")
-    });
-    dimtree_rec(&x_lo, hi, factors, ranks, config, timings, core);
 }
 
 /// One event of the dimension-tree traversal (used to render the paper's
@@ -358,7 +221,8 @@ pub enum DimTreeEvent {
 }
 
 /// The TTM/LLSV schedule of one dimension-tree sweep for an order-`d`
-/// tensor, in execution order.
+/// tensor, in execution order: the order of the distributed sweep's
+/// recursion (`try_dist_dimtree_rec`), which a traced sweep checks.
 pub fn dimtree_schedule(d: usize) -> Vec<DimTreeEvent> {
     fn rec(modes: &[usize], d: usize, out: &mut Vec<DimTreeEvent>) {
         if modes.len() == 1 {
@@ -399,6 +263,34 @@ pub fn dimtree_schedule(d: usize) -> Vec<DimTreeEvent> {
 mod tests {
     use super::*;
     use crate::synthetic::SyntheticSpec;
+    use crate::timings::Phase;
+
+    #[test]
+    fn schedule_is_the_ttm_order_of_a_traced_dimtree_sweep() {
+        for d in 2..=6 {
+            let (dims, ranks) = (vec![4; d], vec![2; d]);
+            let x = SyntheticSpec::new(&dims, &ranks, 0.01, 70 + d as u64).build::<f64>();
+            let session = ratucker_obs::TraceSession::start();
+            let _ = hooi(&x, &ranks, &HooiConfig::hooi_dt().with_max_iters(1));
+            let traced: Vec<Option<usize>> = session
+                .finish()
+                .events
+                .iter()
+                .filter(|e| e.phase == "TTM")
+                .map(|e| e.mode)
+                .collect();
+            // The tree's TTMs, then the mode-(d−1) leaf's core TTM.
+            let mut expected: Vec<Option<usize>> = dimtree_schedule(d)
+                .iter()
+                .filter_map(|e| match e {
+                    DimTreeEvent::Ttm { mode, .. } => Some(Some(*mode)),
+                    DimTreeEvent::Leaf { .. } => None,
+                })
+                .collect();
+            expected.push(Some(d - 1));
+            assert_eq!(traced, expected, "d={d}");
+        }
+    }
 
     #[test]
     fn schedule_leaves_cover_all_modes_in_order() {

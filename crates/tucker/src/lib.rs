@@ -1,7 +1,6 @@
 //! Tucker decomposition algorithms — the paper's contribution.
 //!
-//! This crate implements, sequentially and distributed (over the
-//! `ratucker-mpi` runtime):
+//! This crate implements, distributed over the `ratucker-mpi` runtime:
 //!
 //! - **STHOSVD** (Alg. 1) — the state-of-the-art baseline, in both the
 //!   rank-specified and error-specified formulations;
@@ -11,10 +10,13 @@
 //! - **RA-HOSI-DT** (Alg. 3) — the rank-adaptive variant solving the
 //!   error-specified problem, with the eq.-(3) core analysis.
 //!
-//! Sequential entry points: [`sthosvd::sthosvd`], [`hooi::hooi`],
-//! [`ra::ra_hooi`]. Distributed entry points (collective over a
-//! [`ratucker_mpi::CartGrid`]): [`dist::dist_sthosvd`],
-//! [`dist::dist_hooi`], [`dist::dist_ra_hooi`].
+//! Each algorithm is written once. The distributed entry points are
+//! collective over a [`ratucker_mpi::CartGrid`]: [`dist::dist_sthosvd`],
+//! [`dist::dist_hooi`], [`dist::dist_ra_hooi`]. The single-tensor entry
+//! points [`sthosvd::sthosvd`], [`hooi::hooi`] and [`ra::ra_hooi`] run
+//! the same code on a one-rank universe over an all-ones grid; each
+//! call costs one thread spawn and one copy of the input into the
+//! rank's block.
 //!
 //! # Example: error-specified compression with RA-HOSI-DT
 //!
@@ -71,9 +73,9 @@ pub use hooi::{
     dimtree_schedule, hooi, hooi_with_init, DimTreeEvent, HooiConfig, HooiResult, LlsvStrategy,
     TtmStrategy,
 };
-pub use ra::{ra_hooi, ra_hooi_checkpointed, RaConfig, RaResult};
+pub use ra::{ra_hooi, RaConfig, RaResult};
 pub use recover::{dist_ra_hooi_resilient, RecoveryReport, ResilienceConfig, ResilientOutcome};
-pub use sthosvd::{hosvd, sthosvd, sthosvd_randomized, SthosvdResult, SthosvdTruncation};
+pub use sthosvd::{sthosvd, SthosvdResult, SthosvdTruncation};
 pub use synthetic::SyntheticSpec;
 pub use timings::{Phase, Timings, ALL_PHASES};
 pub use tucker_tensor::TuckerTensor;
@@ -82,7 +84,7 @@ pub use tucker_tensor::TuckerTensor;
 pub mod prelude {
     pub use crate::checkpoint::CheckpointPolicy;
     pub use crate::hooi::{hooi, HooiConfig, LlsvStrategy, TtmStrategy};
-    pub use crate::ra::{ra_hooi, ra_hooi_checkpointed, RaConfig};
+    pub use crate::ra::{ra_hooi, RaConfig};
     pub use crate::sthosvd::{sthosvd, SthosvdTruncation};
     pub use crate::synthetic::SyntheticSpec;
     pub use crate::timings::{Phase, Timings};

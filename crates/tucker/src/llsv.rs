@@ -1,23 +1,18 @@
-//! Leading left singular vectors (LLSV) of tensor unfoldings.
+//! Leading left singular vectors (LLSV) of tensor unfoldings: the
+//! pieces both routes of the paper share.
 //!
-//! Two routes, matching the paper:
-//! - **Gram + EVD** (§2.1): form `Y_(j) Y_(j)ᵀ`, eigensolve, keep the
-//!   leading eigenvectors. Supports both the rank-specified and the
-//!   error-specified truncation rule.
-//! - **Subspace iteration** (Alg. 5): one step of orthogonal iteration
-//!   seeded by the previous factor — `G = Uᵀ·Y_(j)` (a TTM), `Z = Y_(j)·Gᵀ`
-//!   (the all-but-one contraction), then QRCP to orthonormalize and order
-//!   the columns.
+//! The two routes themselves are distributed kernels in `crate::dist`:
+//! - **Gram + EVD** (§2.1, `try_dist_llsv_gram`): form `Y_(j) Y_(j)ᵀ`,
+//!   eigensolve with [`robust_sym_evd`], keep the leading eigenvectors
+//!   under a [`Truncation`] rule.
+//! - **Subspace iteration** (Alg. 5, `try_dist_llsv_subspace`): one
+//!   step of orthogonal iteration seeded by the previous factor —
+//!   `G = Uᵀ·Y_(j)` (a TTM), `Z = Y_(j)·Gᵀ` (the all-but-one
+//!   contraction), then QRCP to orthonormalize and order the columns.
 
-use crate::timings::{Phase, Timings};
-use ratucker_linalg::evd::{rank_for_error, try_sym_evd, EvdError, SymEvd};
-use ratucker_linalg::qr::qrcp;
-use ratucker_tensor::contract::contract_all_but;
-use ratucker_tensor::dense::DenseTensor;
-use ratucker_tensor::gram::gram;
+use ratucker_linalg::evd::{try_sym_evd, EvdError, SymEvd};
 use ratucker_tensor::matrix::Matrix;
 use ratucker_tensor::scalar::Scalar;
-use ratucker_tensor::ttm::{ttm, Transpose};
 
 /// Truncation rule for the Gram+EVD route.
 #[derive(Clone, Copy, Debug)]
@@ -57,133 +52,11 @@ pub fn robust_sym_evd<T: Scalar>(g: &Matrix<T>) -> SymEvd<T> {
     }
 }
 
-/// LLSV via Gram + EVD. Returns `(U, kept_rank)`.
-pub fn llsv_gram_evd<T: Scalar>(
-    y: &DenseTensor<T>,
-    mode: usize,
-    trunc: Truncation,
-    timings: &mut Timings,
-) -> Matrix<T> {
-    let g = timings.time(Phase::Gram, || gram(y, mode));
-    let evd = timings.time(Phase::Evd, || robust_sym_evd(&g));
-    let r = match trunc {
-        Truncation::Rank(r) => r.min(evd.values.len()),
-        Truncation::ErrorSq(t) => rank_for_error(&evd.values, t),
-    };
-    evd.vectors.leading_cols(r)
-}
-
-/// LLSV via subspace iteration (Alg. 5): `u_prev` is the factor from the
-/// previous HOOI iteration (its column count fixes the output rank).
-///
-/// The paper performs a single step ("we choose to do only a single
-/// subspace iteration because we use an accurate initialization … and
-/// because high accuracy of a HOOI subiteration is less of a priority");
-/// `steps > 1` repeats the computation to improve subiteration accuracy,
-/// the extension the paper notes "could be repeated".
-pub fn llsv_subspace_iter<T: Scalar>(
-    y: &DenseTensor<T>,
-    mode: usize,
-    u_prev: &Matrix<T>,
-    steps: usize,
-    timings: &mut Timings,
-) -> Matrix<T> {
-    assert!(steps >= 1, "subspace iteration needs at least one step");
-    assert_eq!(
-        u_prev.rows(),
-        y.dim(mode),
-        "previous factor rows must match the mode extent"
-    );
-    let mut u = u_prev.clone();
-    for _ in 0..steps {
-        // G = Uᵀ A as the TTM Y ×_mode Uᵀ (line 2). Charged to the
-        // Contract phase: both multiplies of Alg. 5 belong to the "SI"
-        // cost row of Table 1 (4d·n·r^d together), distinct from the
-        // multi-TTM phase.
-        let g_core = timings.time(Phase::Contract, || ttm(y, mode, &u, Transpose::Yes));
-        // Z = A Gᵀ as the all-but-one contraction (line 3).
-        let z = timings.time(Phase::Contract, || contract_all_but(y, &g_core, mode));
-        // QRCP(Z) (line 4): orthonormalize and order columns by importance.
-        let f = timings.time(Phase::Qr, || qrcp(&z));
-        u = f.q;
-    }
-    u
-}
-
-/// LLSV via LQ + SVD (the numerically accurate alternative of Li et
-/// al. [18] that §2.1 lists for Alg. 1 line 4): factor `Y_(j)ᵀ = Q·R`
-/// (so `Y_(j) = L·Qᵀ` with `L = Rᵀ`), then take the left singular vectors
-/// of the small `n_j × n_j` triangular factor. Unlike the Gram route this
-/// never squares the condition number, at the price of a tall QR (and an
-/// explicit unfolding copy — this implementation targets accuracy
-/// studies, not the performance path).
-pub fn llsv_lq_svd<T: Scalar>(
-    y: &DenseTensor<T>,
-    mode: usize,
-    trunc: Truncation,
-    timings: &mut Timings,
-) -> Matrix<T> {
-    let unf_t = timings.time(Phase::Other, || {
-        ratucker_tensor::unfold(y, mode).transpose()
-    });
-    let f = timings.time(Phase::Qr, || ratucker_linalg::qr(&unf_t));
-    let l = f.r.transpose(); // n_j × n_j (lower triangular)
-    let svd = timings.time(Phase::Evd, || ratucker_linalg::svd_jacobi(&l));
-    let r = match trunc {
-        Truncation::Rank(r) => r.min(svd.sigma.len()),
-        Truncation::ErrorSq(t) => {
-            let sq: Vec<T> = svd.sigma.iter().map(|&s| s * s).collect();
-            rank_for_error(&sq, t)
-        }
-    };
-    svd.u.leading_cols(r)
-}
-
-/// LLSV via the randomized range finder (the [20, 21] alternative the
-/// paper describes for STHOSVD's line 4): sketch the unfolding with a
-/// Gaussian test tensor, `Z = Y_(j) Ωᵀ`, and orthonormalize with QRCP.
-/// Returns the leading `rank` columns; `oversample` extra sketch columns
-/// improve subspace capture (5–10 is customary).
-pub fn llsv_randomized<T: Scalar, R: rand::Rng + ?Sized>(
-    y: &DenseTensor<T>,
-    mode: usize,
-    rank: usize,
-    oversample: usize,
-    rng: &mut R,
-    timings: &mut Timings,
-) -> Matrix<T> {
-    let l = (rank + oversample).min(y.dim(mode));
-    // The sketch is a Gaussian tensor with mode-`mode` extent l; the
-    // product Y_(j) Ωᵀ is exactly the all-but-one contraction kernel.
-    let omega: DenseTensor<T> =
-        ratucker_tensor::random::normal_tensor(y.shape().with_dim(mode, l), rng);
-    let z = timings.time(Phase::Contract, || contract_all_but(y, &omega, mode));
-    let f = timings.time(Phase::Qr, || qrcp(&z));
-    f.q.leading_cols(rank.min(f.q.cols()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use ratucker_tensor::random::random_orthonormal;
-
-    /// A 3-way tensor with a known mode-0 subspace of dimension 2.
-    fn structured_tensor(seed: u64) -> (DenseTensor<f64>, Matrix<f64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let u: Matrix<f64> = random_orthonormal(8, 2, &mut rng);
-        let core: DenseTensor<f64> = ratucker_tensor::random::normal_tensor([2, 5, 4], &mut rng);
-        let x = ttm(&core, 0, &u, Transpose::No);
-        (x, u)
-    }
-
-    fn subspace_distance(a: &Matrix<f64>, b: &Matrix<f64>) -> f64 {
-        // ‖A Aᵀ − B Bᵀ‖_max for orthonormal A, B of equal rank.
-        let pa = a.matmul(&a.transpose());
-        let pb = b.matmul(&b.transpose());
-        pa.max_abs_diff(&pb)
-    }
 
     #[test]
     fn robust_evd_agrees_with_plain_evd() {
@@ -227,158 +100,5 @@ mod tests {
                 .sum();
             assert!(dot.abs() > 1.0 - 1e-8, "column {j}: |dot| = {}", dot.abs());
         }
-    }
-
-    #[test]
-    fn gram_evd_recovers_exact_subspace() {
-        let (x, u_true) = structured_tensor(5);
-        let mut t = Timings::new();
-        let u = llsv_gram_evd(&x, 0, Truncation::Rank(2), &mut t);
-        assert_eq!(u.cols(), 2);
-        assert!(u.orthonormality_defect() < 1e-12);
-        assert!(subspace_distance(&u, &u_true) < 1e-10);
-        assert!(t.flops(Phase::Gram) > 0);
-        assert!(t.flops(Phase::Evd) > 0);
-    }
-
-    #[test]
-    fn error_specified_rank_selection() {
-        let (x, _) = structured_tensor(6);
-        let mut t = Timings::new();
-        // Tiny error budget (above round-off, below the spectrum) → the
-        // numerical rank of the exactly-rank-2 unfolding.
-        let u = llsv_gram_evd(&x, 0, Truncation::ErrorSq(1e-9), &mut t);
-        assert_eq!(u.cols(), 2);
-        // Huge budget → rank 1.
-        let u1 = llsv_gram_evd(&x, 0, Truncation::ErrorSq(1e12), &mut t);
-        assert_eq!(u1.cols(), 1);
-    }
-
-    #[test]
-    fn subspace_iter_recovers_exact_subspace_from_random_start() {
-        let (x, u_true) = structured_tensor(7);
-        let mut rng = StdRng::seed_from_u64(99);
-        let u0: Matrix<f64> = random_orthonormal(8, 2, &mut rng);
-        let mut t = Timings::new();
-        // With an exactly rank-2 unfolding, a single subspace iteration
-        // lands in the true subspace (A Aᵀ applied to any full-rank start
-        // spans the range of A).
-        let u = llsv_subspace_iter(&x, 0, &u0, 1, &mut t);
-        assert_eq!(u.cols(), 2);
-        assert!(u.orthonormality_defect() < 1e-12);
-        assert!(subspace_distance(&u, &u_true) < 1e-9);
-        assert!(t.flops(Phase::Contract) > 0);
-        assert!(t.flops(Phase::Qr) > 0);
-    }
-
-    #[test]
-    fn subspace_iter_matches_gram_route_on_dominant_subspace() {
-        // With noise, one subspace iteration from the Gram answer must stay
-        // on the Gram answer (it is an invariant subspace).
-        let (mut x, _) = structured_tensor(8);
-        let mut rng = StdRng::seed_from_u64(1);
-        let noise: DenseTensor<f64> =
-            ratucker_tensor::random::normal_tensor(x.shape().clone(), &mut rng);
-        x.add_scaled(1e-6, &noise);
-        let mut t = Timings::new();
-        let u_gram = llsv_gram_evd(&x, 0, Truncation::Rank(2), &mut t);
-        let u_si = llsv_subspace_iter(&x, 0, &u_gram, 1, &mut t);
-        assert!(subspace_distance(&u_gram, &u_si) < 1e-4);
-    }
-
-    #[test]
-    fn works_on_middle_and_last_modes() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let u1: Matrix<f64> = random_orthonormal(6, 2, &mut rng);
-        let core: DenseTensor<f64> = ratucker_tensor::random::normal_tensor([4, 2, 5], &mut rng);
-        let x = ttm(&core, 1, &u1, Transpose::No);
-        let mut t = Timings::new();
-        let got = llsv_gram_evd(&x, 1, Truncation::Rank(2), &mut t);
-        assert!(subspace_distance(&got, &u1) < 1e-10);
-        let got_si = llsv_subspace_iter(&x, 1, &got, 1, &mut t);
-        assert!(subspace_distance(&got_si, &u1) < 1e-10);
-    }
-
-    #[test]
-    fn multi_step_subspace_iteration_improves_noisy_start() {
-        // Gapped spectrum with noise: more SI steps from a random start
-        // must land at least as close to the dominant subspace.
-        let (mut x, u_true) = structured_tensor(9);
-        let mut rng = StdRng::seed_from_u64(2);
-        let noise: DenseTensor<f64> =
-            ratucker_tensor::random::normal_tensor(x.shape().clone(), &mut rng);
-        x.add_scaled(0.05, &noise);
-        let u0: Matrix<f64> = random_orthonormal(8, 2, &mut rng);
-        let mut t = Timings::new();
-        let one = llsv_subspace_iter(&x, 0, &u0, 1, &mut t);
-        let many = llsv_subspace_iter(&x, 0, &u0, 4, &mut t);
-        let d1 = subspace_distance(&one, &u_true);
-        let d4 = subspace_distance(&many, &u_true);
-        // With a wide spectral gap one step already converges to the
-        // noise floor; extra steps must stay there (never diverge).
-        assert!(d4 <= d1 + 1e-3, "1 step: {d1}, 4 steps: {d4}");
-        assert!(d4 < 0.05, "4 steps should converge tightly: {d4}");
-    }
-
-    #[test]
-    fn lq_svd_matches_gram_route() {
-        let (mut x, u_true) = structured_tensor(12);
-        let mut rng = StdRng::seed_from_u64(5);
-        let noise: DenseTensor<f64> =
-            ratucker_tensor::random::normal_tensor(x.shape().clone(), &mut rng);
-        x.add_scaled(1e-3, &noise);
-        let mut t = Timings::new();
-        let u_gram = llsv_gram_evd(&x, 0, Truncation::Rank(2), &mut t);
-        let u_lq = llsv_lq_svd(&x, 0, Truncation::Rank(2), &mut t);
-        assert!(u_lq.orthonormality_defect() < 1e-10);
-        assert!(subspace_distance(&u_lq, &u_gram) < 1e-5);
-        assert!(subspace_distance(&u_lq, &u_true) < 1e-2);
-    }
-
-    #[test]
-    fn lq_svd_is_more_accurate_on_ill_conditioned_unfoldings() {
-        // Columns scaled across ~8 decades: the Gram route squares the
-        // condition number; LQ+SVD must still produce an orthonormal
-        // basis capturing the dominant direction.
-        let x = DenseTensor::from_fn([6, 30], |idx| {
-            let scale = 10f64.powi(-((idx[1] % 9) as i32));
-            ((idx[0] * 7 + idx[1] + 1) as f64).sin() * scale
-        });
-        let mut t = Timings::new();
-        let u = llsv_lq_svd(&x, 0, Truncation::Rank(3), &mut t);
-        assert_eq!(u.cols(), 3);
-        assert!(u.orthonormality_defect() < 1e-12);
-    }
-
-    #[test]
-    fn lq_svd_error_specified_selection() {
-        let (x, _) = structured_tensor(13);
-        let mut t = Timings::new();
-        let u = llsv_lq_svd(&x, 0, Truncation::ErrorSq(1e-9), &mut t);
-        assert_eq!(u.cols(), 2);
-        let u1 = llsv_lq_svd(&x, 0, Truncation::ErrorSq(1e12), &mut t);
-        assert_eq!(u1.cols(), 1);
-    }
-
-    #[test]
-    fn randomized_range_finder_captures_exact_subspace() {
-        let (x, u_true) = structured_tensor(10);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut t = Timings::new();
-        let u = llsv_randomized(&x, 0, 2, 4, &mut rng, &mut t);
-        assert_eq!(u.cols(), 2);
-        assert!(u.orthonormality_defect() < 1e-12);
-        assert!(subspace_distance(&u, &u_true) < 1e-9);
-    }
-
-    #[test]
-    fn randomized_sketch_width_is_capped_by_dim() {
-        let (x, _) = structured_tensor(11);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut t = Timings::new();
-        // rank + oversample far beyond n_0 = 8 must be clamped.
-        let u = llsv_randomized(&x, 0, 6, 100, &mut rng, &mut t);
-        assert_eq!(u.cols(), 6);
-        assert!(u.orthonormality_defect() < 1e-10);
     }
 }

@@ -8,23 +8,23 @@
 //! back the sweep; the paper's flagship is the dimension-tree + subspace-
 //! iteration combination (RA-HOSI-DT).
 //!
-//! The steps of that loop that do not depend on how the tensor is laid
-//! out live here, shared by the sequential solver ([`ra_hooi`], the P = 1
-//! oracle) and the one distributed driver (`crate::recover`): the initial
-//! rank clamp (`RaConfig::start_ranks`), checkpoint resume
+//! The loop itself is written once, in `crate::recover` (`ra_driver`),
+//! behind every distributed entry point; [`ra_hooi`] runs it on a grid
+//! of one rank. The steps of the loop that do not depend on how the
+//! tensor is laid out live here, next to the configuration they read:
+//! the initial rank clamp (`RaConfig::start_ranks`), checkpoint resume
 //! (`start_state`), the post-sweep decision (`RaConfig::decide`), the
-//! α-growth rule (`RaConfig::grow`) and the factor expansion
+//! α-growth rule (`RaConfig::grow`, which admission control replays in
+//! [`RaConfig::peak_ranks`]) and the factor expansion
 //! (`expand_factors`).
 
-use crate::checkpoint::{
-    expansion_rng, CheckpointPolicy, FileCheckpointer, NoCheckpoint, RaCheckpointer,
-};
-use crate::core_analysis::analyze_core;
-use crate::hooi::{run_sweep, HooiConfig};
-use crate::timings::{Phase, Timings};
+use crate::checkpoint::{expansion_rng, RaCheckpointer};
+use crate::core_analysis::tucker_storage;
+use crate::dist::{dist_ra_hooi, on_one_rank};
+use crate::hooi::HooiConfig;
+use crate::timings::Timings;
 use crate::tucker_tensor::TuckerTensor;
 use ratucker_tensor::dense::DenseTensor;
-use ratucker_tensor::io::IoScalar;
 use ratucker_tensor::matrix::Matrix;
 use ratucker_tensor::random::{normal_matrix, orthonormalize_columns};
 use ratucker_tensor::scalar::Scalar;
@@ -160,8 +160,9 @@ impl RaConfig {
         Ok(())
     }
 
-    /// The ranks of the first sweep: the initial guesses clamped to the
-    /// tensor dimensions.
+    /// The ranks of the first sweep of a fresh run: the initial guesses
+    /// clamped to the tensor dimensions. (A resumed run starts from the
+    /// checkpoint's ranks instead; see `start_state`.)
     ///
     /// # Panics
     /// Panics if the configuration is infeasible ([`RaConfig::validate`]).
@@ -204,7 +205,10 @@ impl RaConfig {
     /// The post-sweep decision, a pure function of the sweep's outcome:
     /// `met` is the threshold test, `analysis` the eq.-(3) ranks (computed
     /// only when `met`), `floor` the per-mode minimum a truncation may
-    /// keep, and `rung` the agreed memory-degradation rung.
+    /// keep (the run's original grid dimensions, so every block stays
+    /// nonempty; all ones on a grid of one), and `rung` the
+    /// collectively agreed memory-degradation rung (0 unless a budget
+    /// refusal escalated the ladder).
     pub(crate) fn decide(
         &self,
         met: bool,
@@ -317,119 +321,53 @@ pub struct RaResult<T: Scalar> {
 }
 
 /// Runs rank-adaptive HOOI (Alg. 3).
-pub fn ra_hooi<T: Scalar>(x: &DenseTensor<T>, config: &RaConfig) -> RaResult<T> {
-    ra_hooi_impl(x, config, &mut NoCheckpoint)
-}
-
-/// Runs rank-adaptive HOOI with checkpoint/restart.
 ///
-/// The state entering each sweep (per `policy.every`) is written to
-/// `policy.dir`; with `policy.resume` the run starts from the latest
-/// checkpoint instead of sweep 0 and — because the growth RNG is derived
-/// per sweep — produces the same decomposition bit for bit as an
-/// uninterrupted run. `RaResult::iterations` covers only the sweeps the
-/// resumed run actually executed (sweep indices stay absolute).
+/// This is [`crate::dist::dist_ra_hooi`] on a one-rank universe over an
+/// all-ones grid: each call spawns one thread and copies `x` once into
+/// the rank's block.
 ///
 /// # Panics
-/// Panics if a checkpoint exists but cannot be read, or does not match
-/// this run's seed/ε/tensor (see [`crate::checkpoint::Checkpoint::validate`]).
-pub fn ra_hooi_checkpointed<T: IoScalar>(
-    x: &DenseTensor<T>,
-    config: &RaConfig,
-    policy: &CheckpointPolicy,
-) -> RaResult<T> {
-    ra_hooi_impl(x, config, &mut FileCheckpointer { policy })
-}
-
-fn ra_hooi_impl<T: Scalar>(
-    x: &DenseTensor<T>,
-    config: &RaConfig,
-    ckpt: &mut impl RaCheckpointer<T>,
-) -> RaResult<T> {
-    let dims: Vec<usize> = x.shape().dims().to_vec();
-    let x_norm_sq = x.squared_norm_f64();
-    let threshold = (1.0 - config.eps * config.eps) * x_norm_sq;
-    let (start_sweep, mut ranks, mut factors) = start_state(config, &dims, x_norm_sq, ckpt);
-    // Sequential truncation needs no floor beyond rank 1.
-    let floor = vec![1; dims.len()];
-
-    let mut iterations: Vec<RaIterInfo> = Vec::new();
-    let mut met_at = None;
-    let mut total = Timings::new();
-    let mut tucker: Option<TuckerTensor<T>> = None;
-
-    for it in start_sweep..config.max_iters {
-        ckpt.save_sweep(config, it, x_norm_sq, &dims, &ranks, &factors);
-        let mut t = Timings::new();
-        let core = run_sweep(x, &mut factors, &ranks, &config.inner, &mut t);
-        let met = core.squared_norm_f64() >= threshold;
-        let analysis = if met {
-            t.time(Phase::CoreAnalysis, || {
-                analyze_core(&core, &dims, x_norm_sq, config.eps)
-            })
-        } else {
-            None
-        };
-        let ranks_in = ranks.clone();
-        let full = TuckerTensor::new(core, factors.clone());
-        // The sequential solver has no memory-degradation ladder: rung 0.
-        let step = config.decide(
-            met,
-            analysis.as_ref().map(|a| a.ranks.as_slice()),
-            &ranks,
-            &dims,
-            &floor,
-            0,
-        );
-        let truncated = matches!(&step, RaStep::Truncate(r) if *r != ranks);
-        let chosen = match step {
-            RaStep::Truncate(r) => {
-                let chosen = full.truncate(&r);
-                factors = chosen.factors.clone();
-                ranks = r;
-                chosen
+/// Panics if the configuration is infeasible ([`RaConfig::validate`]).
+pub fn ra_hooi<T: Scalar>(x: &DenseTensor<T>, config: &RaConfig) -> RaResult<T> {
+    let dims = x.shape().dims();
+    let mut ranks_in = config.start_ranks(dims);
+    let (res, tucker) = on_one_rank(x, |grid, xd| dist_ra_hooi(grid, xd, config));
+    let full: usize = dims.iter().product();
+    let sweeps = res.sweep_ranks.into_iter().zip(res.sweep_errors);
+    let iterations: Vec<RaIterInfo> = sweeps
+        .zip(res.sweep_met.into_iter().zip(res.sweep_timings))
+        .map(|((ranks_out, rel_error), (met_threshold, timings))| {
+            let ranks_in = std::mem::replace(&mut ranks_in, ranks_out.clone());
+            // A met threshold keeps or truncates the sweep's decomposition;
+            // a missed one returns it as it is, whatever the next ranks.
+            let kept = if met_threshold { &ranks_out } else { &ranks_in };
+            RaIterInfo {
+                truncated: met_threshold && ranks_out != ranks_in,
+                relative_size: 1.0 / (full as f64 / tucker_storage(kept, dims) as f64),
+                ranks_in,
+                ranks_out,
+                rel_error,
+                met_threshold,
+                timings,
             }
-            RaStep::Grow(grown) => {
-                expand_factors(&mut factors, &grown, config.inner.seed, it);
-                ranks = grown;
-                full
-            }
-            RaStep::Keep | RaStep::Freeze => full,
-        };
-        if met && met_at.is_none() {
-            met_at = Some(it);
-        }
-        total.merge(&t);
-        iterations.push(RaIterInfo {
-            ranks_in,
-            ranks_out: ranks.clone(),
-            rel_error: chosen.rel_error_from_core(x_norm_sq),
-            met_threshold: met,
-            truncated,
-            relative_size: chosen.relative_size(),
-            timings: t,
-        });
-        tucker = Some(chosen);
-        if met && config.stop_on_threshold {
-            break;
-        }
-    }
-
-    let tucker = tucker.expect("max_iters must be at least 1");
-    let rel_error = tucker.rel_error_from_core(x_norm_sq);
+        })
+        .collect();
     RaResult {
         tucker,
+        met_at: iterations.iter().position(|i| i.met_threshold),
         iterations,
-        met_at,
-        timings: total,
-        rel_error,
+        timings: res.timings,
+        rel_error: res.rel_error,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointPolicy;
+    use crate::dist::{dist_ra_hooi_checkpointed, DistRunResult};
     use crate::synthetic::SyntheticSpec;
+    use crate::timings::Phase;
 
     fn noisy_tensor(seed: u64) -> DenseTensor<f64> {
         SyntheticSpec::new(&[14, 12, 10], &[4, 3, 3], 0.02, seed).build()
@@ -715,6 +653,17 @@ mod tests {
         assert!(!it.truncated);
     }
 
+    /// The checkpointed driver on a grid of one, with the core gathered.
+    fn checkpointed(
+        x: &DenseTensor<f64>,
+        cfg: &RaConfig,
+        policy: &CheckpointPolicy,
+    ) -> (DistRunResult<f64>, TuckerTensor<f64>) {
+        on_one_rank(x, |grid, xd| {
+            dist_ra_hooi_checkpointed(grid, xd, cfg, policy)
+        })
+    }
+
     fn ckpt_dir(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("ratucker_ra_ckpt_{}_{name}", std::process::id()));
@@ -732,7 +681,7 @@ mod tests {
         let reference = ra_hooi(&x, &cfg);
         let dir = ckpt_dir("plain");
         let policy = CheckpointPolicy::new(&dir);
-        let checked = ra_hooi_checkpointed(&x, &cfg, &policy);
+        let (checked, _) = checkpointed(&x, &cfg, &policy);
         assert_eq!(checked.rel_error, reference.rel_error);
         for (a, b) in checked.tucker.factors.iter().zip(&reference.tucker.factors) {
             assert_eq!(a.max_abs_diff(b), 0.0);
@@ -760,22 +709,22 @@ mod tests {
         );
         let dir = ckpt_dir("resume");
         let policy = CheckpointPolicy::new(&dir);
-        let _ = ra_hooi_checkpointed(&x, &cfg, &policy);
+        let _ = checkpointed(&x, &cfg, &policy);
         // Simulate a crash during sweep 2: throw away everything the run
         // wrote after the state entering sweep 1.
         for sweep in 2..cfg.max_iters {
             let _ = std::fs::remove_file(policy.path_for(sweep));
         }
-        let resumed = ra_hooi_checkpointed(&x, &cfg, &policy.clone().resuming());
+        let (resumed, resumed_tucker) = checkpointed(&x, &cfg, &policy.clone().resuming());
         // Only sweeps 1.. re-ran, yet the result is identical.
-        assert_eq!(resumed.iterations.len(), reference.iterations.len() - 1);
+        assert_eq!(resumed.sweep_errors.len(), reference.iterations.len() - 1);
         assert_eq!(resumed.rel_error, reference.rel_error);
-        assert_eq!(resumed.tucker.ranks(), reference.tucker.ranks());
+        assert_eq!(resumed_tucker.ranks(), reference.tucker.ranks());
         assert_eq!(
-            resumed.tucker.core.max_abs_diff(&reference.tucker.core),
+            resumed_tucker.core.max_abs_diff(&reference.tucker.core),
             0.0
         );
-        for (a, b) in resumed.tucker.factors.iter().zip(&reference.tucker.factors) {
+        for (a, b) in resumed_tucker.factors.iter().zip(&reference.tucker.factors) {
             assert_eq!(a.max_abs_diff(b), 0.0);
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -790,11 +739,12 @@ mod tests {
             .with_max_iters(1);
         let dir = ckpt_dir("mismatch");
         let policy = CheckpointPolicy::new(&dir);
-        let _ = ra_hooi_checkpointed(&x, &cfg, &policy);
+        let _ = checkpointed(&x, &cfg, &policy);
         let other = cfg.clone().with_seed(31);
         // Leak the dir on purpose: the panic unwinds before cleanup, and
-        // the unique name keeps reruns isolated.
-        let _ = ra_hooi_checkpointed(&x, &other, &policy.resuming());
+        // the unique name keeps reruns isolated. The rank's panic is
+        // re-raised with its message.
+        let _ = checkpointed(&x, &other, &policy.resuming());
     }
 
     #[test]

@@ -587,7 +587,11 @@ fn attempt_sweep<T: Scalar>(
             (core, err, new_ranks)
         }
         RaStep::Grow(grown) => {
-            expand_factors(factors, &grown, config.inner.seed, it);
+            // No sweep follows the last one to use wider factors: the
+            // run returns this sweep's factors, which match its core.
+            if it + 1 < config.max_iters {
+                expand_factors(factors, &grown, config.inner.seed, it);
+            }
             (core, untruncated_err, grown)
         }
         RaStep::Keep | RaStep::Freeze => (core, untruncated_err, ranks.to_vec()),
@@ -672,6 +676,8 @@ pub(crate) fn ra_driver<T: Scalar>(
     let mut ctx = SweepCtx::new(res.abft);
     let mut sweep_errors = Vec::new();
     let mut sweep_ranks = Vec::new();
+    let mut sweep_met = Vec::new();
+    let mut sweep_timings = Vec::new();
     let mut result_core: Option<DistTensor<T>> = None;
     let mut buddies: BuddyStore<T> = BuddyStore::disabled();
     let mut detector = StragglerDetector::new(res.straggler.unwrap_or_default());
@@ -728,6 +734,9 @@ pub(crate) fn ra_driver<T: Scalar>(
             let _s = ratucker_obs::span(&grid.comm, "snapshot");
             factors.clone()
         });
+        // This attempt's phases; merged into the run's total whatever
+        // the outcome, and kept as the sweep's record if it commits.
+        let mut sweep_t = Timings::new();
         let refreshed = if res.buddy_degree > 0 {
             // Buddy refresh is pure fault-tolerance overhead: charge it
             // to the Recovery phase so the breakdown shows the price of
@@ -737,7 +746,7 @@ pub(crate) fn ra_driver<T: Scalar>(
                 let _s = ratucker_obs::span(&grid.comm, "refresh");
                 try_refresh_buddies(&grid, &x, res.buddy_degree)
             };
-            timings.record(Phase::Recovery, refresh_t0.elapsed().as_secs_f64());
+            sweep_t.record(Phase::Recovery, refresh_t0.elapsed().as_secs_f64());
             refreshed
         } else {
             Ok(BuddyStore::disabled())
@@ -755,15 +764,18 @@ pub(crate) fn ra_driver<T: Scalar>(
                 x_norm_sq,
                 &dims,
                 &floor,
-                &mut timings,
+                &mut sweep_t,
                 &mut ctx,
             )
         });
+        timings.merge(&sweep_t);
         match attempt {
             Ok(out) => {
                 ranks = out.new_ranks;
                 sweep_errors.push(out.err);
                 sweep_ranks.push(ranks.clone());
+                sweep_met.push(out.met);
+                sweep_timings.push(sweep_t);
                 result_core = Some(out.core);
                 it += 1;
                 if out.met && config.stop_on_threshold {
@@ -897,6 +909,8 @@ pub(crate) fn ra_driver<T: Scalar>(
             timings,
             sweep_errors,
             sweep_ranks,
+            sweep_met,
+            sweep_timings,
         }),
         grid: Box::new(grid),
         report,

@@ -1,11 +1,13 @@
 //! Sequentially Truncated Higher-Order SVD (Alg. 1) — the baseline.
+//!
+//! The algorithm is written once, in `crate::dist`; [`sthosvd`] runs it
+//! on a grid of one rank.
 
-use crate::llsv::{llsv_gram_evd, Truncation};
-use crate::timings::{Phase, Timings};
+use crate::dist::{dist_sthosvd, on_one_rank};
+use crate::timings::Timings;
 use crate::tucker_tensor::TuckerTensor;
 use ratucker_tensor::dense::DenseTensor;
 use ratucker_tensor::scalar::Scalar;
-use ratucker_tensor::ttm::{ttm, Transpose};
 
 /// How STHOSVD truncates each mode.
 #[derive(Clone, Debug)]
@@ -29,93 +31,16 @@ pub struct SthosvdResult<T: Scalar> {
 }
 
 /// Runs STHOSVD, processing modes `0, 1, …, d−1` in order.
+///
+/// This is [`crate::dist::dist_sthosvd`] on a one-rank universe over an
+/// all-ones grid: each call spawns one thread and copies `x` once into
+/// the rank's block.
 pub fn sthosvd<T: Scalar>(x: &DenseTensor<T>, trunc: &SthosvdTruncation) -> SthosvdResult<T> {
-    let d = x.order();
-    let x_norm_sq = x.squared_norm_f64();
-    let mut timings = Timings::new();
-    let mut y = x.clone();
-    let mut factors = Vec::with_capacity(d);
-    for j in 0..d {
-        let mode_trunc = match trunc {
-            SthosvdTruncation::Ranks(r) => Truncation::Rank(r[j]),
-            SthosvdTruncation::RelError(eps) => {
-                Truncation::ErrorSq(eps * eps * x_norm_sq / d as f64)
-            }
-        };
-        let u = llsv_gram_evd(&y, j, mode_trunc, &mut timings);
-        y = timings.time(Phase::Ttm, || ttm(&y, j, &u, Transpose::Yes));
-        factors.push(u);
-    }
-    let tucker = TuckerTensor::new(y, factors);
-    let rel_error = tucker.rel_error_from_core(x_norm_sq);
+    let (res, tucker) = on_one_rank(x, |grid, xd| dist_sthosvd(grid, xd, trunc));
     SthosvdResult {
         tucker,
-        timings,
-        rel_error,
-    }
-}
-
-/// Classic (non-sequentially-truncated) HOSVD: every factor matrix is
-/// computed from the *original* tensor's unfoldings, then a single
-/// multi-TTM forms the core. This is the direct method STHOSVD improves
-/// on (it does `d` full-size Grams instead of a shrinking sequence) —
-/// included as the natural extra baseline and for validating STHOSVD's
-/// quasi-optimality claims.
-pub fn hosvd<T: Scalar>(x: &DenseTensor<T>, trunc: &SthosvdTruncation) -> SthosvdResult<T> {
-    let d = x.order();
-    let x_norm_sq = x.squared_norm_f64();
-    let mut timings = Timings::new();
-    let mut factors = Vec::with_capacity(d);
-    for j in 0..d {
-        let mode_trunc = match trunc {
-            SthosvdTruncation::Ranks(r) => Truncation::Rank(r[j]),
-            SthosvdTruncation::RelError(eps) => {
-                Truncation::ErrorSq(eps * eps * x_norm_sq / d as f64)
-            }
-        };
-        factors.push(llsv_gram_evd(x, j, mode_trunc, &mut timings));
-    }
-    let mut y = x.clone();
-    for (j, u) in factors.iter().enumerate() {
-        y = timings.time(Phase::Ttm, || ttm(&y, j, u, Transpose::Yes));
-    }
-    let tucker = TuckerTensor::new(y, factors);
-    let rel_error = tucker.rel_error_from_core(x_norm_sq);
-    SthosvdResult {
-        tucker,
-        timings,
-        rel_error,
-    }
-}
-
-/// STHOSVD with the randomized range-finder LLSV (the [20, 21] option of
-/// Alg. 1 line 4). Rank-specified only: the sketch width must be chosen
-/// up front.
-pub fn sthosvd_randomized<T: Scalar>(
-    x: &DenseTensor<T>,
-    ranks: &[usize],
-    oversample: usize,
-    seed: u64,
-) -> SthosvdResult<T> {
-    use rand::SeedableRng;
-    let d = x.order();
-    assert_eq!(ranks.len(), d);
-    let x_norm_sq = x.squared_norm_f64();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut timings = Timings::new();
-    let mut y = x.clone();
-    let mut factors = Vec::with_capacity(d);
-    for (j, &r) in ranks.iter().enumerate() {
-        let u = crate::llsv::llsv_randomized(&y, j, r, oversample, &mut rng, &mut timings);
-        y = timings.time(Phase::Ttm, || ttm(&y, j, &u, Transpose::Yes));
-        factors.push(u);
-    }
-    let tucker = TuckerTensor::new(y, factors);
-    let rel_error = tucker.rel_error_from_core(x_norm_sq);
-    SthosvdResult {
-        tucker,
-        timings,
-        rel_error,
+        timings: res.timings,
+        rel_error: res.rel_error,
     }
 }
 
@@ -123,73 +48,7 @@ pub fn sthosvd_randomized<T: Scalar>(
 mod tests {
     use super::*;
     use crate::synthetic::SyntheticSpec;
-
-    #[test]
-    fn hosvd_recovers_noiseless_tucker() {
-        let spec = SyntheticSpec::new(&[10, 9, 8], &[3, 2, 4], 0.0, 507);
-        let x = spec.build::<f64>();
-        let res = hosvd(&x, &SthosvdTruncation::Ranks(vec![3, 2, 4]));
-        assert!(res.rel_error < 1e-6, "rel_error {}", res.rel_error);
-        assert!(res.tucker.orthonormality_defect() < 1e-10);
-    }
-
-    #[test]
-    fn hosvd_and_sthosvd_comparable_error_but_hosvd_costlier() {
-        let spec = SyntheticSpec::new(&[16, 14, 12], &[4, 3, 3], 0.05, 509);
-        let x = spec.build::<f64>();
-        let st = sthosvd(&x, &SthosvdTruncation::Ranks(vec![4, 3, 3]));
-        let ho = hosvd(&x, &SthosvdTruncation::Ranks(vec![4, 3, 3]));
-        // Both quasi-optimal.
-        assert!((ho.rel_error - st.rel_error).abs() < 0.01);
-        // HOSVD does all Grams at full size → strictly more Gram flops.
-        assert!(
-            ho.timings.flops(Phase::Gram) > st.timings.flops(Phase::Gram),
-            "HOSVD {} vs STHOSVD {}",
-            ho.timings.flops(Phase::Gram),
-            st.timings.flops(Phase::Gram)
-        );
-    }
-
-    #[test]
-    fn hosvd_error_specified_meets_tolerance() {
-        let spec = SyntheticSpec::new(&[12, 10, 8], &[3, 3, 2], 0.01, 511);
-        let x = spec.build::<f64>();
-        let res = hosvd(&x, &SthosvdTruncation::RelError(0.1));
-        assert!(res.rel_error <= 0.1, "rel_error {}", res.rel_error);
-    }
-
-    #[test]
-    fn randomized_sthosvd_recovers_noiseless_tucker() {
-        let spec = SyntheticSpec::new(&[14, 12, 10], &[3, 3, 2], 0.0, 501);
-        let x = spec.build::<f64>();
-        let res = sthosvd_randomized(&x, &[3, 3, 2], 5, 1);
-        assert!(res.rel_error < 1e-6, "rel_error {}", res.rel_error);
-        assert!(res.tucker.orthonormality_defect() < 1e-10);
-    }
-
-    #[test]
-    fn randomized_close_to_deterministic_on_noisy_input() {
-        let spec = SyntheticSpec::new(&[16, 14, 12], &[4, 3, 3], 0.05, 503);
-        let x = spec.build::<f64>();
-        let det = sthosvd(&x, &SthosvdTruncation::Ranks(vec![4, 3, 3]));
-        let rnd = sthosvd_randomized(&x, &[4, 3, 3], 8, 2);
-        assert!(
-            rnd.rel_error <= det.rel_error * 1.5 + 1e-12,
-            "randomized {} vs deterministic {}",
-            rnd.rel_error,
-            det.rel_error
-        );
-    }
-
-    #[test]
-    fn randomized_uses_no_evd() {
-        let spec = SyntheticSpec::new(&[10, 10, 10], &[2, 2, 2], 0.01, 505);
-        let x = spec.build::<f32>();
-        let res = sthosvd_randomized(&x, &[2, 2, 2], 4, 3);
-        assert_eq!(res.timings.flops(Phase::Evd), 0);
-        assert_eq!(res.timings.flops(Phase::Gram), 0);
-        assert!(res.timings.flops(Phase::Qr) > 0);
-    }
+    use crate::timings::Phase;
 
     #[test]
     fn exact_recovery_of_noiseless_tucker() {

@@ -6,7 +6,9 @@
 //! 1. **Differential oracles** ([`oracle`]) — naive, audit-by-eye
 //!    reference implementations (triple-loop GEMM, unfold-then-multiply
 //!    TTM and Gram, an independent cyclic-Jacobi eigensolver) that the
-//!    optimized kernels are compared against numerically.
+//!    optimized kernels are compared against numerically, and textbook
+//!    STHOSVD and HOOI built from them that the solvers are compared
+//!    against on every processor grid.
 //! 2. **Algebraic invariants** ([`invariants`]) — properties any
 //!    correct output must satisfy regardless of implementation:
 //!    orthonormal factors, symmetric PSD Grams, the core-norm error
@@ -33,4 +35,7 @@ pub use invariants::{
     check_core_norm_identity, check_factor_match, check_monotone_fit, check_orthonormal,
     check_symmetric_psd, check_ttm_commutes,
 };
-pub use oracle::{gram_naive, jacobi_eigenvalues_naive, matmul_naive, ttm_naive};
+pub use oracle::{
+    gram_naive, hooi_textbook, jacobi_eigenvalues_naive, matmul_naive, sthosvd_textbook, ttm_naive,
+    TextbookTruncation, TextbookTucker,
+};

@@ -8,7 +8,15 @@
 //! verified against these differentially — any disagreement beyond
 //! [`crate::tolerances`] is a bug in one of the two, and the oracle is
 //! short enough to audit by eye.
+//!
+//! Two whole-algorithm oracles sit on top of these kernels:
+//! [`sthosvd_textbook`] and [`hooi_textbook`] follow the algorithms as
+//! printed, taking every leading left singular vector from a Jacobi SVD
+//! of the unfolding itself, with no Gram matrix, eigensolver, dimension
+//! tree or data distribution. The solvers are checked against them on
+//! every processor grid.
 
+use ratucker_linalg::svd::svd_jacobi;
 use ratucker_tensor::{fold, unfold, DenseTensor, Matrix, Scalar, Shape, Transpose};
 
 /// Textbook `C = A · B` with a triple loop and `f64` accumulation.
@@ -117,6 +125,98 @@ pub fn jacobi_eigenvalues_naive(a: &Matrix<f64>) -> Vec<f64> {
     let mut evs: Vec<f64> = (0..n).map(|i| m[idx(i, i)]).collect();
     evs.sort_by(|x, y| y.partial_cmp(x).unwrap());
     evs
+}
+
+/// A Tucker decomposition computed by a textbook oracle.
+#[derive(Clone, Debug)]
+pub struct TextbookTucker<T: Scalar> {
+    /// The core `G = X ×_1 U_1ᵀ ⋯ ×_d U_dᵀ`.
+    pub core: DenseTensor<T>,
+    /// The factor matrices, one per mode.
+    pub factors: Vec<Matrix<T>>,
+    /// `‖X − G ×_1 U_1 ⋯ ×_d U_d‖ / ‖X‖ = √(1 − ‖G‖²/‖X‖²)`.
+    pub rel_error: f64,
+}
+
+/// How [`sthosvd_textbook`] picks each mode's rank.
+#[derive(Clone, Debug)]
+pub enum TextbookTruncation {
+    /// These ranks, one per mode (eq. 1).
+    Ranks(Vec<usize>),
+    /// Per mode, the fewest leading singular vectors whose discarded
+    /// squared singular values sum to at most `ε²‖X‖²/d` (eq. 2).
+    RelError(f64),
+}
+
+/// STHOSVD (Alg. 1) as written: for each mode in order, the leading
+/// left singular vectors of the current tensor's unfolding, then the
+/// TTM that shrinks that mode.
+pub fn sthosvd_textbook<T: Scalar>(
+    x: &DenseTensor<T>,
+    trunc: &TextbookTruncation,
+) -> TextbookTucker<T> {
+    let (d, mut core, mut factors) = (x.order(), x.clone(), Vec::new());
+    for n in 0..d {
+        let svd = svd_jacobi(&unfold(&core, n));
+        let r = match trunc {
+            TextbookTruncation::Ranks(r) => r[n],
+            TextbookTruncation::RelError(eps) => {
+                let sq: Vec<f64> = svd.sigma.iter().map(|s| s.to_f64().powi(2)).collect();
+                let budget = eps * eps * norm_sq(x) / d as f64;
+                (1..sq.len())
+                    .find(|&r| sq[r..].iter().sum::<f64>() <= budget)
+                    .unwrap_or(sq.len())
+            }
+        };
+        factors.push(svd.u.leading_cols(r));
+        core = ttm_naive(&core, n, &factors[n], Transpose::Yes);
+    }
+    textbook_tucker(x, core, factors)
+}
+
+/// HOOI (Alg. 2) in the shape of the classic `hooi.m`: each sweep
+/// replaces the factors in mode order, each by the leading left singular
+/// vectors of the unfolding of `X` times every other factor's
+/// transpose; the core is `X` times every factor's transpose. Starts
+/// from the factors `init`, whose column counts are the ranks.
+pub fn hooi_textbook<T: Scalar>(
+    x: &DenseTensor<T>,
+    init: &[Matrix<T>],
+    sweeps: usize,
+) -> TextbookTucker<T> {
+    let project = |factors: &[Matrix<T>], skip: Option<usize>| {
+        (0..x.order())
+            .filter(|&k| Some(k) != skip)
+            .fold(x.clone(), |y, k| {
+                ttm_naive(&y, k, &factors[k], Transpose::Yes)
+            })
+    };
+    let mut factors = init.to_vec();
+    for _ in 0..sweeps {
+        for n in 0..x.order() {
+            let y = project(&factors, Some(n));
+            factors[n] = svd_jacobi(&unfold(&y, n)).u.leading_cols(factors[n].cols());
+        }
+    }
+    textbook_tucker(x, project(&factors, None), factors)
+}
+
+/// Squared Frobenius norm with `f64` accumulation.
+fn norm_sq<T: Scalar>(x: &DenseTensor<T>) -> f64 {
+    x.data().iter().map(|v| v.to_f64().powi(2)).sum()
+}
+
+fn textbook_tucker<T: Scalar>(
+    x: &DenseTensor<T>,
+    core: DenseTensor<T>,
+    factors: Vec<Matrix<T>>,
+) -> TextbookTucker<T> {
+    let rel_error = (1.0 - norm_sq(&core) / norm_sq(x)).max(0.0).sqrt();
+    TextbookTucker {
+        core,
+        factors,
+        rel_error,
+    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //! Launches an 8-rank universe, distributes a 4-way tensor over a 2x2x2x1
 //! processor grid, and runs distributed STHOSVD and distributed
 //! rank-adaptive HOSI-DT — the same collective code paths a real MPI
-//! deployment would execute — then verifies both against the sequential
-//! implementations and reports the communication volume per algorithm.
+//! deployment would execute — then verifies both against the same
+//! solvers on one rank (the single-tensor entry points) and reports the
+//! communication volume per algorithm.
 
 use ra_hooi::dist::DistTensor;
 use ra_hooi::mpi::{CartGrid, Universe};
@@ -61,22 +62,22 @@ fn main() {
         ra_bytes as f64 / 1e6
     );
 
-    // --- verify against the sequential implementations ---
+    // --- verify against the single-tensor entry points (one rank) ---
     let x = spec.build::<f32>();
     let st_seq = sthosvd(&x, &SthosvdTruncation::RelError(eps));
     let ra_seq = ra_hooi(&x, &cfg);
     println!(
-        "\nsequential STHOSVD error {:.4} (dist {:.4})",
+        "\none-rank STHOSVD error {:.4} (dist {:.4})",
         st_seq.rel_error, st_err
     );
     println!(
-        "sequential RA error      {:.4} (dist {:.4})",
+        "one-rank RA error      {:.4} (dist {:.4})",
         ra_seq.rel_error, ra_err
     );
     // f32 accumulations over ~half a million elements take different
-    // summation orders on the distributed reduce tree vs the sequential
-    // path, so the rel_errors agree to ~1e-3 of their magnitude, not bitwise.
+    // summation orders on the 8-rank reduce tree vs the one-rank run, so
+    // the rel_errors agree to ~1e-3 of their magnitude, not bitwise.
     assert!((st_seq.rel_error - st_err).abs() < 1e-4);
     assert!(ra_err <= &eps);
-    println!("\ndistributed and sequential agree; both meet eps = {eps}.");
+    println!("\n8 ranks and one rank agree; both meet eps = {eps}.");
 }

@@ -1,29 +1,37 @@
 //! Conformance suite: every distributed solver, swept over tensor
 //! orders d ∈ {3, 4} and processor counts P ∈ {1, 2, 4, 8}, against
-//! the sequential implementation as a differential oracle — within the
-//! documented tolerances of `ratucker_verify::tolerances` — plus the
-//! algebraic invariants any correct output must satisfy.
+//! differential oracles — within the documented tolerances of
+//! `ratucker_verify::tolerances` — plus the algebraic invariants any
+//! correct output must satisfy.
 //!
-//! Three comparison layers per case:
+//! Four comparison layers per case:
 //!
 //! 1. **cross-rank**: every rank's gathered result is *bitwise*
 //!    identical (the collectives are replicated-deterministic);
-//! 2. **distributed vs. sequential**: relative error within
-//!    `TOL_DIST_REL_ERROR`, ranks equal, factor columns within
-//!    `TOL_DIST_FACTOR` up to sign;
-//! 3. **invariants**: orthonormal factors and the core-norm error
+//! 2. **distributed vs. textbook oracle** (STHOSVD and HOOI): relative
+//!    error within `TOL_DIST_REL_ERROR`, ranks equal, factor columns
+//!    within `TOL_DIST_FACTOR` up to sign, against
+//!    `ratucker_verify::{sthosvd_textbook, hooi_textbook}` — the
+//!    algorithms as printed, on naive TTMs and a Jacobi SVD of each
+//!    unfolding, sharing no code with the solvers;
+//! 3. **P > 1 vs. P = 1**: the same checks against the single-tensor
+//!    entry points (`sthosvd`, `ra_hooi`), which run the distributed
+//!    solver on one rank;
+//! 4. **invariants**: orthonormal factors and the core-norm error
 //!    identity on the gathered decomposition.
 
 use ra_hooi::dist::DistTensor;
 use ra_hooi::mpi::{CartGrid, Universe};
 use ra_hooi::prelude::*;
-use ra_hooi::tucker::dist::{dist_ra_hooi, dist_sthosvd};
+use ra_hooi::tucker::dist::{dist_hooi, dist_ra_hooi, dist_sthosvd};
+use ra_hooi::tucker::hooi::random_init;
 use ra_hooi::tucker::{dist_ra_hooi_resilient, ResilienceConfig, ResilientOutcome};
 use ratucker_verify::tolerances::{
     TOL_CORE_NORM, TOL_DIST_FACTOR, TOL_DIST_REL_ERROR, TOL_MONOTONE_SLACK, TOL_ORTHO,
 };
 use ratucker_verify::{
     check_core_norm_identity, check_factor_match, check_monotone_fit, check_orthonormal,
+    hooi_textbook, sthosvd_textbook, TextbookTruncation,
 };
 
 struct Case {
@@ -91,6 +99,26 @@ fn assert_invariants(x: &DenseTensor<f64>, t: &TuckerTensor<f64>, reported: f64,
         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
 }
 
+/// A gathered result agrees with a reference within the distributed
+/// tolerances: relative error, ranks, and factor columns up to sign.
+fn assert_conforms(
+    (err, t): &(f64, TuckerTensor<f64>),
+    ref_err: f64,
+    ref_factors: &[Matrix<f64>],
+    ctx: &str,
+) {
+    assert!(
+        (err - ref_err).abs() < TOL_DIST_REL_ERROR,
+        "{ctx}: rel_error {err} vs {ref_err}"
+    );
+    let ref_ranks: Vec<usize> = ref_factors.iter().map(|u| u.cols()).collect();
+    assert_eq!(t.ranks(), ref_ranks, "{ctx}: ranks differ");
+    for (j, (fd, fs)) in t.factors.iter().zip(ref_factors).enumerate() {
+        check_factor_match(fd, fs, TOL_DIST_FACTOR)
+            .unwrap_or_else(|e| panic!("{ctx}: factor {j}: {e}"));
+    }
+}
+
 #[test]
 fn scatter_then_gather_is_bitwise_identity_on_every_grid() {
     // Every conformance grid plus grids that leave mode 0 (or all but
@@ -135,34 +163,94 @@ fn bits(v: &[f64]) -> Vec<u64> {
 fn sthosvd_conforms_to_the_sequential_oracle_on_every_grid() {
     for case in cases() {
         let x = SyntheticSpec::new(&case.dims, &case.ranks, 0.02, case.seed).build::<f64>();
-        let seq = sthosvd(&x, &SthosvdTruncation::Ranks(case.ranks.clone()));
-        assert_invariants(&x, &seq.tucker, seq.rel_error, "sequential STHOSVD");
-
-        for grid_dims in &case.grids {
-            let p: usize = grid_dims.iter().product();
-            let ctx = format!("STHOSVD d={} P={p} grid {grid_dims:?}", case.dims.len());
-            let gd = grid_dims.clone();
-            let ranks = case.ranks.clone();
-            let xg = x.clone();
-            let out = Universe::launch(p, move |c| {
-                let grid = CartGrid::new(c, &gd);
-                let xd = DistTensor::scatter_from_replicated(&grid, &xg);
-                let res = dist_sthosvd(&grid, &xd, &SthosvdTruncation::Ranks(ranks.clone()));
-                (res.rel_error, res.tucker.gather(&grid))
-            });
-            assert_bitwise_equal_across_ranks(&out, &ctx);
-            let (err, t) = &out[0];
-            assert!(
-                (err - seq.rel_error).abs() < TOL_DIST_REL_ERROR,
-                "{ctx}: rel_error {err} vs sequential {}",
-                seq.rel_error
+        for (trunc, oracle_trunc) in [
+            (
+                SthosvdTruncation::Ranks(case.ranks.clone()),
+                TextbookTruncation::Ranks(case.ranks.clone()),
+            ),
+            (
+                SthosvdTruncation::RelError(0.1),
+                TextbookTruncation::RelError(0.1),
+            ),
+        ] {
+            let oracle = sthosvd_textbook(&x, &oracle_trunc);
+            assert_invariants(
+                &x,
+                &TuckerTensor::new(oracle.core.clone(), oracle.factors.clone()),
+                oracle.rel_error,
+                "textbook STHOSVD",
             );
-            assert_eq!(t.ranks(), seq.tucker.ranks(), "{ctx}: ranks differ");
-            for (j, (fd, fs)) in t.factors.iter().zip(&seq.tucker.factors).enumerate() {
-                check_factor_match(fd, fs, TOL_DIST_FACTOR)
-                    .unwrap_or_else(|e| panic!("{ctx}: factor {j}: {e}"));
+            let seq = sthosvd(&x, &trunc);
+            assert_invariants(&x, &seq.tucker, seq.rel_error, "STHOSVD on one rank");
+
+            for grid_dims in &case.grids {
+                let p: usize = grid_dims.iter().product();
+                let ctx = format!(
+                    "STHOSVD {trunc:?} d={} P={p} grid {grid_dims:?}",
+                    case.dims.len()
+                );
+                let gd = grid_dims.clone();
+                let tr = trunc.clone();
+                let xg = x.clone();
+                let out = Universe::launch(p, move |c| {
+                    let grid = CartGrid::new(c, &gd);
+                    let xd = DistTensor::scatter_from_replicated(&grid, &xg);
+                    let res = dist_sthosvd(&grid, &xd, &tr);
+                    (res.rel_error, res.tucker.gather(&grid))
+                });
+                assert_bitwise_equal_across_ranks(&out, &ctx);
+                assert_conforms(
+                    &out[0],
+                    oracle.rel_error,
+                    &oracle.factors,
+                    &format!("{ctx} vs textbook"),
+                );
+                assert_conforms(
+                    &out[0],
+                    seq.rel_error,
+                    &seq.tucker.factors,
+                    &format!("{ctx} vs P=1"),
+                );
+                assert_invariants(&x, &out[0].1, out[0].0, &ctx);
             }
-            assert_invariants(&x, t, *err, &ctx);
+        }
+    }
+}
+
+#[test]
+fn hooi_conforms_to_the_textbook_oracle_on_every_grid() {
+    for case in cases() {
+        let x = SyntheticSpec::new(&case.dims, &case.ranks, 0.02, case.seed).build::<f64>();
+        let seed = 3;
+        let oracle = hooi_textbook(&x, &random_init(&case.dims, &case.ranks, seed), 2);
+        // The Gram + EVD variants, direct and dimension-tree: both are
+        // Alg. 2's Gauss–Seidel sweep, from the same random factors.
+        for cfg in [HooiConfig::hooi(), HooiConfig::hooi_dt()] {
+            let cfg = cfg.with_seed(seed).with_max_iters(2);
+            for grid_dims in &case.grids {
+                let p: usize = grid_dims.iter().product();
+                let ctx = format!(
+                    "{} d={} P={p} grid {grid_dims:?}",
+                    cfg.variant_name(),
+                    case.dims.len()
+                );
+                let gd = grid_dims.clone();
+                let (ranks, cfg2, xg) = (case.ranks.clone(), cfg.clone(), x.clone());
+                let out = Universe::launch(p, move |c| {
+                    let grid = CartGrid::new(c, &gd);
+                    let xd = DistTensor::scatter_from_replicated(&grid, &xg);
+                    let res = dist_hooi(&grid, &xd, &ranks, &cfg2);
+                    (res.rel_error, res.tucker.gather(&grid))
+                });
+                assert_bitwise_equal_across_ranks(&out, &ctx);
+                assert_conforms(
+                    &out[0],
+                    oracle.rel_error,
+                    &oracle.factors,
+                    &format!("{ctx} vs textbook"),
+                );
+                assert_invariants(&x, &out[0].1, out[0].0, &ctx);
+            }
         }
     }
 }
@@ -177,9 +265,10 @@ fn ra_hosi_dt_conforms_to_the_sequential_oracle_on_every_grid() {
         // ranks), so the initial guess starts at 2, not 1.
         let guess = vec![2; case.dims.len()];
         let cfg = RaConfig::ra_hosi_dt(eps, &guess).with_seed(9);
+        // The reference is the driver on one rank (`ra_hooi`).
         let seq = ra_hooi(&x, &cfg);
-        assert!(seq.rel_error <= eps, "sequential RA missed its tolerance");
-        assert_invariants(&x, &seq.tucker, seq.rel_error, "sequential RA-HOSI-DT");
+        assert!(seq.rel_error <= eps, "RA on one rank missed its tolerance");
+        assert_invariants(&x, &seq.tucker, seq.rel_error, "RA-HOSI-DT on one rank");
 
         for grid_dims in &case.grids {
             let p: usize = grid_dims.iter().product();
@@ -196,16 +285,12 @@ fn ra_hosi_dt_conforms_to_the_sequential_oracle_on_every_grid() {
             assert_bitwise_equal_across_ranks(&out, &ctx);
             let (err, t) = &out[0];
             assert!(*err <= eps, "{ctx}: tolerance missed: {err}");
-            assert!(
-                (err - seq.rel_error).abs() < TOL_DIST_REL_ERROR,
-                "{ctx}: rel_error {err} vs sequential {}",
-                seq.rel_error
+            assert_conforms(
+                &out[0],
+                seq.rel_error,
+                &seq.tucker.factors,
+                &format!("{ctx} vs P=1"),
             );
-            assert_eq!(t.ranks(), seq.tucker.ranks(), "{ctx}: adapted ranks differ");
-            for (j, (fd, fs)) in t.factors.iter().zip(&seq.tucker.factors).enumerate() {
-                check_factor_match(fd, fs, TOL_DIST_FACTOR)
-                    .unwrap_or_else(|e| panic!("{ctx}: factor {j}: {e}"));
-            }
             assert_invariants(&x, t, *err, &ctx);
         }
     }
