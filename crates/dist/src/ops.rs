@@ -22,6 +22,7 @@ use crate::dtensor::DistTensor;
 use ratucker_mem::{self as mem, MemPhase};
 use ratucker_mpi::{sum_op, CartGrid, Comm, CommError, Request};
 use ratucker_tensor::dense::{append_block, DenseTensor};
+use ratucker_tensor::kernels::all_finite;
 use ratucker_tensor::matrix::Matrix;
 use ratucker_tensor::scalar::Scalar;
 use ratucker_tensor::ttm::{ttm, Transpose};
@@ -274,11 +275,11 @@ pub(crate) fn ttm_impl<T: Scalar>(
         // Fold the non-finite screen into the checksum error (NaN/Inf ⇒
         // infinite relative error) and agree on a grid-wide verdict so
         // every rank aborts — or retries — together.
-        if my_block.iter().any(|v| !v.is_finite_s()) {
+        if !all_finite(&my_block) {
             local_rel = f64::INFINITY;
         }
         abft_verdict::<T>(grid, mode, local_rel)?;
-    } else if my_block.iter().any(|v| !v.is_finite_s()) {
+    } else if !all_finite(&my_block) {
         return Err(CommError::Corrupted {
             rank: grid.comm.rank(),
             what: format!(
@@ -336,7 +337,7 @@ fn pop_checksum_error<T: Scalar>(blk: &mut Vec<T>) -> f64 {
         .pop()
         .expect("checked reduce-scatter chunk carries a checksum")
         .to_f64();
-    if blk.iter().any(|v| !v.is_finite_s()) {
+    if !all_finite(blk) {
         return f64::INFINITY;
     }
     let s = sum_f64(blk);
@@ -703,7 +704,7 @@ fn gram_impl<T: Scalar>(
         // into one relative error, then agree on a grid-wide verdict so
         // every rank aborts — or retries — together.
         let mut rel_err = a2a_rel;
-        if summed.iter().any(|v| !v.is_finite_s()) {
+        if !all_finite(&summed) {
             rel_err = f64::INFINITY;
         } else {
             for j in 0..n_j {
@@ -715,7 +716,7 @@ fn gram_impl<T: Scalar>(
             }
         }
         abft_verdict::<T>(grid, mode, rel_err)?;
-    } else if summed.iter().any(|v| !v.is_finite_s()) {
+    } else if !all_finite(&summed) {
         return Err(CommError::Corrupted {
             rank: grid.comm.rank(),
             what: format!(

@@ -79,7 +79,7 @@ pub fn try_sym_evd<T: Scalar>(a: &Matrix<T>) -> Result<SymEvd<T>, EvdError> {
     }
     // Screen for NaN/±∞ up front: QL on garbage spins through its whole
     // sweep budget before failing, and the error would be less precise.
-    if a.as_slice().iter().any(|x| !x.is_finite_s()) {
+    if !a.all_finite() {
         return Err(EvdError::NonFinite);
     }
     // Symmetrize defensively (distributed reductions can leave the two

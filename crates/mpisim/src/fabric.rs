@@ -19,7 +19,7 @@
 use crate::fault::{CommError, CorruptMode, FaultPlan};
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -300,6 +300,11 @@ pub struct TrafficStats {
     kind_bytes: Vec<AtomicU64>,
     /// Per-source-rank, per-kind delivered messages (same layout).
     kind_messages: Vec<AtomicU64>,
+    /// Deliveries that have begun charging the counters above, and
+    /// deliveries that have finished: equal only while no charge is
+    /// half-applied, which is when [`Self::check_kind_partition`] reads.
+    charges_started: AtomicU64,
+    charges_finished: AtomicU64,
 }
 
 impl TrafficStats {
@@ -316,6 +321,8 @@ impl TrafficStats {
             wait_us_by_src: (0..p).map(|_| AtomicU64::new(0)).collect(),
             kind_bytes: (0..p * KIND_COUNT).map(|_| AtomicU64::new(0)).collect(),
             kind_messages: (0..p * KIND_COUNT).map(|_| AtomicU64::new(0)).collect(),
+            charges_started: AtomicU64::new(0),
+            charges_finished: AtomicU64::new(0),
         }
     }
 
@@ -404,12 +411,26 @@ impl TrafficStats {
     /// `(kind_total, global_total)` pairs for bytes and messages on
     /// violation.
     ///
-    /// Only meaningful while the fabric is quiescent (a send increments
-    /// the kind counter and the global counter non-atomically).
+    /// Sound while messages are in flight: a delivery charges the kind
+    /// and global counters as several updates, so the check reads them
+    /// again until no charge was half-applied during the read.
     #[allow(clippy::type_complexity)]
     pub fn check_kind_partition(&self) -> Result<(), ((u64, u64), (u64, u64))> {
-        let totals = self.kind_totals();
-        let (bytes, msgs) = self.snapshot();
+        let (totals, bytes, msgs) = loop {
+            // Pairs with the `Release` increment of `charges_finished`:
+            // every finished charge's updates are visible to the reads.
+            let finished = self.charges_finished.load(Ordering::Acquire);
+            let totals = self.kind_totals();
+            let (bytes, msgs) = self.snapshot();
+            // Pairs with the `Release` fence after `charges_started` is
+            // incremented: a read that saw any update of a charge also
+            // sees that charge as started.
+            fence(Ordering::Acquire);
+            if self.charges_started.load(Ordering::Relaxed) == finished {
+                break (totals, bytes, msgs);
+            }
+            std::thread::yield_now();
+        };
         if totals.total_bytes() == bytes && totals.total_messages() == msgs {
             Ok(())
         } else {
@@ -1187,12 +1208,16 @@ impl Fabric {
             }
         }
 
-        self.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.stats.messages.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_by_rank[src].fetch_add(bytes, Ordering::Relaxed);
+        let stats = &self.stats;
+        stats.charges_started.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        stats.bytes.fetch_add(bytes, Ordering::Relaxed);
+        stats.messages.fetch_add(1, Ordering::Relaxed);
+        stats.bytes_by_rank[src].fetch_add(bytes, Ordering::Relaxed);
         let cell = src * KIND_COUNT + kind.index();
-        self.stats.kind_bytes[cell].fetch_add(bytes, Ordering::Relaxed);
-        self.stats.kind_messages[cell].fetch_add(1, Ordering::Relaxed);
+        stats.kind_bytes[cell].fetch_add(bytes, Ordering::Relaxed);
+        stats.kind_messages[cell].fetch_add(1, Ordering::Relaxed);
+        stats.charges_finished.fetch_add(1, Ordering::Release);
 
         let epoch = self.current_epoch();
         let link = self.link(src, dst);

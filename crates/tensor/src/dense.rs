@@ -126,7 +126,7 @@ impl<T: Scalar> DenseTensor<T> {
     /// `true` when every entry is finite (no NaN/Inf) — the screening
     /// predicate applied at distributed kernel boundaries.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite_s())
+        crate::kernels::all_finite(&self.data)
     }
 
     /// Underlying buffer in layout order.

@@ -23,10 +23,33 @@
 //! `mul_add` because without `-C target-feature=+fma` it lowers to a
 //! libm call and destroys throughput.
 //!
+//! # The narrow paths (the TTM's r-wide side)
+//!
+//! A Tucker TTM multiplies a large tensor slab by a factor with only
+//! `r ≤ 16` columns. Packing there copies the large operand once per
+//! call, about as much memory traffic as the multiply itself, and pads
+//! `r` up to a multiple of `NR`. So two shapes skip packing, chosen by
+//! shape alone:
+//!
+//! - `C += A·B`, neither transposed, `n ≤` [`NARROW_MAX_N`] (every
+//!   middle- and last-mode TTM): [`gemm_narrow`] reads A in place,
+//!   one contiguous run of an A column per depth step, and keeps a
+//!   `rows × n` tile of C in registers for all of `k`;
+//! - `C += Aᵀ·B`, `m ≤` [`NARROW_MAX_N`] (the mode-0 TTM):
+//!   [`gemm_narrow_tn`] copies the small `Aᵀ` once and reads B in
+//!   place.
+//!
+//! Measured on a 2-vCPU AVX-512 Xeon container (f32, GFLOP/s, best of
+//! repeated calls, three runs on a shared host): the last-mode TTM
+//! (m 16384, n 11, k 64) runs at 16–22 narrow against 9–17 packed, one
+//! middle-mode slab batch (m 128, n 11, k 128) at 19–32 against 9–15,
+//! and the mode-0 TTM (r 11, k 128, 8192 columns) at 23–35 against
+//! 8–13. A square 256³ `gemm_nn` runs at about 30 packed.
+//!
 //! # The canonical accumulation order (bit-identity contract)
 //!
-//! Every path — packed, unblocked, any worker count, and any split of
-//! `k` into separate accumulating calls — produces *bit-identical*
+//! Every path — packed, narrow, unblocked, any worker count, and any
+//! split of `k` into separate accumulating calls — produces *bit-identical*
 //! results, because each output element is always the same rounding
 //! chain: `C[i,j] ← ((C[i,j] + A(i,0)·B(0,j)) + A(i,1)·B(1,j)) + …` in
 //! ascending `k`. The microkernel loads the C tile into registers,
@@ -69,9 +92,10 @@ const NC: usize = 512;
 /// percent, large enough to amortize packing the trapezoid's A panel.
 const SYRK_BLOCK: usize = 8;
 
-/// Below this many flops (`2mnk`) a product runs the unblocked loop:
-/// packing would cost a comparable number of memory moves. The threshold
-/// never changes results — both paths produce the canonical chain.
+/// Below this many flops (`2mnk`) a product runs the unblocked loop
+/// unless the narrow `A·B` path takes it: packing would cost a
+/// comparable number of memory moves. The threshold never changes
+/// results — every path produces the canonical chain.
 const PACK_MIN_FLOPS: u64 = 16 * 1024;
 
 /// Panic-with-context bounds check shared by the GEMM kernels.
@@ -187,6 +211,10 @@ fn microkernel<T: Scalar>(kc: usize, ap: &[T], bp: &[T], mut acc: [T; MR * NR]) 
 
 /// Unblocked fallback for tiny products; same canonical accumulation
 /// chain as the packed path (ascending `k`, per-element sequential).
+/// Forced inline: it also finishes the narrow paths' edges, and with
+/// three callers LLVM outlined it; the µs-scale hyperslab queries (all
+/// unblocked products) then read 2–8% slower in benchmark pairs.
+#[inline(always)]
 fn gemm_small<T: Scalar>(
     m: usize,
     n: usize,
@@ -216,6 +244,247 @@ fn gemm_small<T: Scalar>(
             }
         }
     }
+}
+
+/// Widest r-side the narrow paths serve: `C += A·B` with `n` at most
+/// this runs [`gemm_narrow`], `C += Aᵀ·B` with `m` at most this runs
+/// [`gemm_narrow_tn`], instead of packing.
+const NARROW_MAX_N: usize = 16;
+
+/// Register budget of one narrow tile's accumulators, in bytes (24 of
+/// the 32 vector registers at 256 bits). The tile height is the largest
+/// of 16, 8 and 4 rows whose `rows × n` block of C fits; past it LLVM
+/// spills accumulators on every depth step (a 32-row f32 tile at
+/// `n = 11` ran at half the 16-row one's rate).
+const NARROW_TILE_BYTES: usize = 768;
+
+/// The narrow path: `C += A·B` for `A` and `B` not transposed and
+/// `n ≤` [`NARROW_MAX_N`], reading `A` in place. Each `rows × n` tile
+/// of C is loaded into registers, updated by every depth step in
+/// ascending `k` (one contiguous `rows`-long read of an A column and
+/// `n` scalars of B per step) and stored once, so each element is the
+/// canonical chain of the module docs. The tallest tile that fits
+/// [`NARROW_TILE_BYTES`] covers the bulk of the rows; shorter tiles and
+/// then [`gemm_small`] take the remainder, with the same chain.
+///
+/// The width must be a compile-time constant for rustc to keep the tile
+/// in registers (a runtime-`n` loop over a 16-wide tile ran ~2× slower),
+/// hence one monomorphized body per `n`.
+fn gemm_narrow<T: Scalar>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
+    ldc: usize,
+) {
+    if narrow_rows::<T>(n) < 8 {
+        // Too wide for an 8-row tile (f64 past 12 columns): the 4-row
+        // tile ran at half the packed rate, two column halves at 8 or
+        // more rows beat it. Columns are independent chains, so the
+        // split cannot change a bit.
+        let half = n / 2;
+        gemm_narrow(m, half, k, a, lda, b, ldb, c, ldc);
+        let (b_rest, c_rest) = (&b[half * ldb..], &mut c[half * ldc..]);
+        return gemm_narrow(m, n - half, k, a, lda, b_rest, ldb, c_rest, ldc);
+    }
+    let done = match n {
+        1 => narrow_width::<T, 1>(m, k, a, lda, b, ldb, c, ldc),
+        2 => narrow_width::<T, 2>(m, k, a, lda, b, ldb, c, ldc),
+        3 => narrow_width::<T, 3>(m, k, a, lda, b, ldb, c, ldc),
+        4 => narrow_width::<T, 4>(m, k, a, lda, b, ldb, c, ldc),
+        5 => narrow_width::<T, 5>(m, k, a, lda, b, ldb, c, ldc),
+        6 => narrow_width::<T, 6>(m, k, a, lda, b, ldb, c, ldc),
+        7 => narrow_width::<T, 7>(m, k, a, lda, b, ldb, c, ldc),
+        8 => narrow_width::<T, 8>(m, k, a, lda, b, ldb, c, ldc),
+        9 => narrow_width::<T, 9>(m, k, a, lda, b, ldb, c, ldc),
+        10 => narrow_width::<T, 10>(m, k, a, lda, b, ldb, c, ldc),
+        11 => narrow_width::<T, 11>(m, k, a, lda, b, ldb, c, ldc),
+        12 => narrow_width::<T, 12>(m, k, a, lda, b, ldb, c, ldc),
+        13 => narrow_width::<T, 13>(m, k, a, lda, b, ldb, c, ldc),
+        14 => narrow_width::<T, 14>(m, k, a, lda, b, ldb, c, ldc),
+        15 => narrow_width::<T, 15>(m, k, a, lda, b, ldb, c, ldc),
+        16 => narrow_width::<T, 16>(m, k, a, lda, b, ldb, c, ldc),
+        _ => unreachable!("narrow path called with n = {n}"),
+    };
+    if done < m {
+        gemm_small(
+            m - done,
+            n,
+            k,
+            &a[done..],
+            lda,
+            false,
+            b,
+            ldb,
+            false,
+            &mut c[done..],
+            ldc,
+        );
+    }
+}
+
+/// Runs width `N`'s tile cascade and returns how many leading rows are
+/// done (all but fewer than 4). The height tests fold to constants per
+/// monomorphization, so only the heights that fit are compiled in.
+fn narrow_width<T: Scalar, const N: usize>(
+    m: usize,
+    k: usize,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
+    ldc: usize,
+) -> usize {
+    let top = narrow_rows::<T>(N);
+    let mut done = 0;
+    if top >= 16 {
+        done = narrow_tiles::<T, N, 16>(done, m, k, a, lda, b, ldb, c, ldc);
+    }
+    if top >= 8 {
+        done = narrow_tiles::<T, N, 8>(done, m, k, a, lda, b, ldb, c, ldc);
+    }
+    narrow_tiles::<T, N, 4>(done, m, k, a, lda, b, ldb, c, ldc)
+}
+
+/// Height of width `n`'s tallest narrow tile: the largest of 16 and 8
+/// rows whose `rows × n` block of C fits [`NARROW_TILE_BYTES`], else 4.
+#[inline(always)]
+fn narrow_rows<T: Scalar>(n: usize) -> usize {
+    [16, 8]
+        .into_iter()
+        .find(|&rows| rows * n * std::mem::size_of::<T>() <= NARROW_TILE_BYTES)
+        .unwrap_or(4)
+}
+
+/// Runs every full `TM × N` tile of C in rows `from..m` and returns the
+/// first row left over (fewer than `TM` remain).
+#[inline(always)]
+fn narrow_tiles<T: Scalar, const N: usize, const TM: usize>(
+    from: usize,
+    m: usize,
+    k: usize,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
+    ldc: usize,
+) -> usize {
+    let end = m - (m - from) % TM;
+    for i0 in (from..end).step_by(TM) {
+        let mut acc = [[T::ZERO; TM]; N];
+        for (j, col) in acc.iter_mut().enumerate() {
+            col.copy_from_slice(&c[i0 + j * ldc..i0 + j * ldc + TM]);
+        }
+        for l in 0..k {
+            let ar: &[T; TM] = a[i0 + l * lda..i0 + l * lda + TM]
+                .try_into()
+                .expect("TM slice");
+            for (j, col) in acc.iter_mut().enumerate() {
+                let s = b[l + j * ldb];
+                for i in 0..TM {
+                    col[i] += ar[i] * s;
+                }
+            }
+        }
+        for (j, col) in acc.iter().enumerate() {
+            c[i0 + j * ldc..i0 + j * ldc + TM].copy_from_slice(col);
+        }
+    }
+    end
+}
+
+/// The transposed narrow path: `C += Aᵀ·B` for `m ≤` [`NARROW_MAX_N`]
+/// (the mode-0 TTM, `m = r`), reading `B` in place. `Aᵀ` is copied once
+/// into `k` rows of `RP` entries (zero-padded past `m`); each `RP × NJ`
+/// tile of C is then updated by every depth step in ascending `k`, one
+/// `RP`-wide row of `Aᵀ` against `NJ` scalars of B, so each element is
+/// the canonical chain. Padded lanes multiply zeros and are never
+/// stored. Columns past the last full tile run [`gemm_small`].
+///
+/// The tile shapes are pinned per padded height: 4×4, 8×8 and 16×4.
+/// Tiles of 32 accumulators (4×8, 8×4, 16×2) vectorized badly and ran
+/// 2–6× slower than the packed path, in f32 and f64 alike.
+fn gemm_narrow_tn<T: Scalar>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
+    ldc: usize,
+) {
+    let done = if m <= 4 {
+        narrow_tn_tiles::<T, 4, 4>(m, n, k, a, lda, b, ldb, c, ldc)
+    } else if m <= 8 {
+        narrow_tn_tiles::<T, 8, 8>(m, n, k, a, lda, b, ldb, c, ldc)
+    } else {
+        narrow_tn_tiles::<T, 16, 4>(m, n, k, a, lda, b, ldb, c, ldc)
+    };
+    if done < n {
+        gemm_small(
+            m,
+            n - done,
+            k,
+            a,
+            lda,
+            true,
+            &b[done * ldb..],
+            ldb,
+            false,
+            &mut c[done * ldc..],
+            ldc,
+        );
+    }
+}
+
+/// Runs every full `RP × NJ` tile of [`gemm_narrow_tn`] and returns the
+/// first column left over.
+fn narrow_tn_tiles<T: Scalar, const RP: usize, const NJ: usize>(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    c: &mut [T],
+    ldc: usize,
+) -> usize {
+    let mut at = vec![T::ZERO; k * RP];
+    for i in 0..m {
+        for l in 0..k {
+            at[l * RP + i] = a[l + i * lda];
+        }
+    }
+    let end = n - n % NJ;
+    for j0 in (0..end).step_by(NJ) {
+        let mut acc = [[T::ZERO; RP]; NJ];
+        for (jj, col) in acc.iter_mut().enumerate() {
+            col[..m].copy_from_slice(&c[(j0 + jj) * ldc..(j0 + jj) * ldc + m]);
+        }
+        let bcols: [&[T]; NJ] = std::array::from_fn(|jj| &b[(j0 + jj) * ldb..(j0 + jj) * ldb + k]);
+        for l in 0..k {
+            let ar: &[T; RP] = at[l * RP..(l + 1) * RP].try_into().expect("RP slice");
+            for (jj, col) in acc.iter_mut().enumerate() {
+                let s = bcols[jj][l];
+                for i in 0..RP {
+                    col[i] += ar[i] * s;
+                }
+            }
+        }
+        for (jj, col) in acc.iter().enumerate() {
+            c[(j0 + jj) * ldc..(j0 + jj) * ldc + m].copy_from_slice(&col[..m]);
+        }
+    }
+    end
 }
 
 /// The packed MC/KC/NC loop nest over one output column range.
@@ -319,10 +588,34 @@ pub(crate) fn gemm_serial<T: Scalar>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if 2 * (m as u64) * (n as u64) * (k as u64) < PACK_MIN_FLOPS {
-        gemm_small(m, n, k, a, lda, at, b, ldb, bt, c, ldc);
+    match gemm_path(m, n, k, at, bt) {
+        GemmPath::Narrow => gemm_narrow(m, n, k, a, lda, b, ldb, c, ldc),
+        GemmPath::NarrowTn => gemm_narrow_tn(m, n, k, a, lda, b, ldb, c, ldc),
+        GemmPath::Small => gemm_small(m, n, k, a, lda, at, b, ldb, bt, c, ldc),
+        GemmPath::Packed => gemm_packed(m, n, k, a, lda, at, b, ldb, bt, c, ldc),
+    }
+}
+
+/// The loop nest [`gemm_serial`] runs a product on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum GemmPath {
+    Narrow,
+    NarrowTn,
+    Small,
+    Packed,
+}
+
+/// Picks the path by shape alone (see the module docs). The transposed
+/// narrow path copies `Aᵀ`, so tiny products skip it like packing.
+fn gemm_path(m: usize, n: usize, k: usize, at: bool, bt: bool) -> GemmPath {
+    if !at && !bt && n <= NARROW_MAX_N {
+        GemmPath::Narrow
+    } else if 2 * (m as u64) * (n as u64) * (k as u64) < PACK_MIN_FLOPS {
+        GemmPath::Small
+    } else if at && !bt && m <= NARROW_MAX_N {
+        GemmPath::NarrowTn
     } else {
-        gemm_packed(m, n, k, a, lda, at, b, ldb, bt, c, ldc);
+        GemmPath::Packed
     }
 }
 
@@ -571,6 +864,20 @@ pub fn scal<T: Scalar>(alpha: T, x: &mut [T]) {
     }
 }
 
+/// Entries per chunk of [`all_finite`]'s screen.
+const SCREEN_CHUNK: usize = 512;
+
+/// `true` when every entry of `xs` is finite (no NaN/Inf): the screen
+/// the distributed kernels apply to their inputs and received payloads.
+///
+/// Each fixed-size chunk is folded without a branch, so it vectorizes;
+/// the answer is checked between chunks. An early-exit `iter().all`
+/// does not vectorize and cost about 1 ms per 4 MB block.
+pub fn all_finite<T: Scalar>(xs: &[T]) -> bool {
+    xs.chunks(SCREEN_CHUNK)
+        .all(|c| c.iter().fold(true, |ok, x| ok & x.is_finite_s()))
+}
+
 /// Euclidean norm with scaling to avoid overflow/underflow (LAPACK dnrm2).
 pub fn nrm2<T: Scalar>(x: &[T]) -> T {
     flops::add(2 * x.len() as u64);
@@ -817,32 +1124,154 @@ mod tests {
 
     #[test]
     fn results_are_bit_identical_across_worker_counts() {
-        let (a, b) = test_mats(67, 59, 71);
-        let mut reference: Option<Vec<f64>> = None;
-        for nt in [1usize, 2, 4] {
-            crate::par::set_num_threads(nt);
-            let mut c = Matrix::<f64>::zeros(67, 71);
-            gemm_nn(
-                67,
-                71,
-                59,
-                a.as_slice(),
-                67,
-                b.as_slice(),
-                59,
-                c.as_mut_slice(),
-                67,
-            );
-            match &reference {
-                None => reference = Some(c.as_slice().to_vec()),
-                Some(want) => {
-                    for (x, y) in want.iter().zip(c.as_slice()) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "worker count {nt} diverged");
+        // A packed shape and a narrow one (n ≤ NARROW_MAX_N).
+        for (m, k, n) in [(67, 59, 71), (300, 64, 11)] {
+            let (a, b) = test_mats(m, k, n);
+            let mut reference: Option<Vec<f64>> = None;
+            for nt in [1usize, 2, 4] {
+                crate::par::set_num_threads(nt);
+                let mut c = Matrix::<f64>::zeros(m, n);
+                gemm_nn(
+                    m,
+                    n,
+                    k,
+                    a.as_slice(),
+                    m,
+                    b.as_slice(),
+                    k,
+                    c.as_mut_slice(),
+                    m,
+                );
+                match &reference {
+                    None => reference = Some(c.as_slice().to_vec()),
+                    Some(want) => {
+                        for (x, y) in want.iter().zip(c.as_slice()) {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "{m}x{n}: worker count {nt} diverged"
+                            );
+                        }
                     }
                 }
             }
         }
         crate::par::set_num_threads(1);
+    }
+
+    /// The canonical chain written out: `C[i,j] += op(A)(i,l)·B(l,j)`
+    /// for `l = 0, 1, …`, one rounding per step (`at` reads `A` as
+    /// `k×m`).
+    fn chain_oracle<T: Scalar>(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[T],
+        lda: usize,
+        at: bool,
+        b: &[T],
+        ldb: usize,
+        c: &mut [T],
+        ldc: usize,
+    ) {
+        for j in 0..n {
+            for i in 0..m {
+                let mut acc = c[i + j * ldc];
+                for l in 0..k {
+                    let ail = if at { a[l + i * lda] } else { a[i + l * lda] };
+                    acc += ail * b[l + j * ldb];
+                }
+                c[i + j * ldc] = acc;
+            }
+        }
+    }
+
+    /// Runs `gemm_nn` (or `gemm_tn` when `at`) against [`chain_oracle`]
+    /// on padded leading dimensions and a nonzero C, comparing the whole
+    /// C buffer (padding included) bit for bit.
+    fn assert_chain_bitwise<T: Scalar>(m: usize, n: usize, k: usize, at: bool) {
+        let (a_rows, a_cols) = if at { (k, m) } else { (m, k) };
+        let (lda, ldb, ldc) = (a_rows + 3, k + 1, m + 2);
+        let val = |i: usize, s: f64| T::from_f64(((i as f64) * s + 0.25).sin());
+        let a: Vec<T> = (0..lda * a_cols).map(|i| val(i, 0.013)).collect();
+        let b: Vec<T> = (0..ldb * n).map(|i| val(i, 0.021)).collect();
+        let c0: Vec<T> = (0..ldc * n).map(|i| val(i, 0.017)).collect();
+        let mut want = c0.clone();
+        chain_oracle(m, n, k, &a, lda, at, &b, ldb, &mut want, ldc);
+        let mut got = c0;
+        if at {
+            gemm_tn(m, n, k, &a, lda, &b, ldb, &mut got, ldc);
+        } else {
+            gemm_nn(m, n, k, &a, lda, &b, ldb, &mut got, ldc);
+        }
+        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "m {m} n {n} k {k} at {at}");
+    }
+
+    #[test]
+    fn ttm_shapes_take_the_narrow_paths() {
+        use GemmPath::*;
+        // (m, n, k, at, bt): a last-mode TTM, a middle-mode slab, the
+        // mode-0 TTM, a tiny mode-0 TTM (unblocked), then r = 17, a
+        // `Transpose::No` slab (`gemm_nt`) and a SYRK panel, which stay
+        // packed.
+        let cases = [
+            ((16384, 11, 64, false, false), Narrow),
+            ((128, 16, 128, false, false), Narrow),
+            ((11, 8192, 128, true, false), NarrowTn),
+            ((4, 8, 64, true, false), Small),
+            ((16384, 17, 64, false, false), Packed),
+            ((17, 8192, 128, true, false), Packed),
+            ((128, 11, 128, false, true), Packed),
+            ((120, 8, 64, true, false), Packed),
+        ];
+        for ((m, n, k, at, bt), want) in cases {
+            assert_eq!(
+                gemm_path(m, n, k, at, bt),
+                want,
+                "m {m} n {n} k {k} at {at} bt {bt}"
+            );
+        }
+    }
+
+    #[test]
+    fn narrow_gemm_is_bitwise_the_canonical_chain() {
+        fn run<T: Scalar>() {
+            for n in 1..=NARROW_MAX_N {
+                let top = narrow_rows::<T>(n);
+                // One short of a tile, a tile, one past it, and a run
+                // through every height of the cascade.
+                for m in [top - 1, top, top + 1, 2 * top - 1] {
+                    for k in [1, 255, 256, 257, 600] {
+                        assert_chain_bitwise::<T>(m, n, k, false);
+                    }
+                }
+                for k in [1, 3] {
+                    assert_chain_bitwise::<T>(16384, n, k, false);
+                }
+            }
+            // The last-mode TTM shape of a 128³ solve.
+            assert_chain_bitwise::<T>(16384, 11, 64, false);
+        }
+        run::<f32>();
+        run::<f64>();
+    }
+
+    #[test]
+    fn narrow_tn_gemm_is_bitwise_the_canonical_chain() {
+        fn run<T: Scalar>() {
+            for m in 1..=NARROW_MAX_N {
+                // Column counts at and around multiples of the 4- and
+                // 8-wide tiles; past PACK_MIN_FLOPS once k ≥ 255.
+                for n in [35, 36, 37, 39, 40, 41] {
+                    for k in [1, 255, 256, 257, 600] {
+                        assert_chain_bitwise::<T>(m, n, k, true);
+                    }
+                }
+            }
+        }
+        run::<f32>();
+        run::<f64>();
     }
 
     #[test]

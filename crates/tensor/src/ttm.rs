@@ -6,6 +6,13 @@
 //! slab is one GEMM. Mode 0 collapses to a single large GEMM on the
 //! natural matrix view.
 //!
+//! With a factor of `r ≤ 16` columns applied transposed (the Tucker
+//! case), every one of these GEMMs is r-wide, and
+//! [`crate::kernels`] runs it on a narrow path that reads the slab in
+//! place instead of packing it: `gemm_nn` with `n = r` for `mode > 0`,
+//! `gemm_tn` with `m = r` for mode 0. Wider factors and
+//! [`Transpose::No`] run the packed path.
+//!
 //! In the Tucker algorithms the matrix is almost always a *factor matrix
 //! transposed* (`X ×_j U_jᵀ` with `U_j ∈ ℝ^{n_j×r_j}`), so the API takes
 //! the factor as stored plus a [`Transpose`] flag rather than forcing
@@ -205,40 +212,67 @@ mod tests {
         })
     }
 
-    #[test]
-    fn ttm_right_range_is_bitwise_slice_of_full_ttm() {
-        let x = test_tensor(&[4, 3, 5, 2]);
-        for mode in 0..4 {
+    /// Checks that `ttm_right_range` at each split in `splits(right)` is
+    /// the exact bit pattern of the matching run of the full output, for
+    /// every mode, both transposes and each output width in `ps`.
+    fn assert_ranges_slice_full_ttm(
+        dims: &[usize],
+        ps: &[usize],
+        splits: impl Fn(usize) -> Vec<usize>,
+    ) {
+        let x = test_tensor(dims);
+        for mode in 0..dims.len() {
             let n_j = x.dim(mode);
-            let m = Matrix::from_fn(2, n_j, |i, j| ((i * n_j + j) as f64).cos());
-            for trans in [Transpose::No, Transpose::Yes] {
-                let (op, p) = match trans {
-                    Transpose::No => (m.clone(), 2),
-                    Transpose::Yes => (
-                        Matrix::from_fn(n_j, 2, |i, j| ((i + 3 * j) as f64).sin()),
-                        2,
-                    ),
-                };
-                let full = ttm(&x, mode, &op, trans);
-                let left = x.shape().left(mode);
-                let right = full.num_entries() / (left * p);
-                let y_slab = left * p;
-                // Every split point: the packed range must be the exact
-                // bit pattern of the matching run of the full output.
-                for split in 0..=right {
-                    for (range, base) in [(0..split, 0usize), (split..right, split * y_slab)] {
-                        let cols = range.len();
-                        let part = ttm_right_range(&x, mode, &op, trans, range);
-                        let want = &full.data()[base..base + cols * y_slab];
-                        assert_eq!(
-                            part.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            "mode {mode} split {split}"
-                        );
+            for &p in ps {
+                for trans in [Transpose::No, Transpose::Yes] {
+                    let op = match trans {
+                        Transpose::No => {
+                            Matrix::from_fn(p, n_j, |i, j| ((i * n_j + j) as f64).cos())
+                        }
+                        Transpose::Yes => {
+                            Matrix::from_fn(n_j, p, |i, j| ((i + 3 * j) as f64).sin())
+                        }
+                    };
+                    let full = ttm(&x, mode, &op, trans);
+                    let left = x.shape().left(mode);
+                    let right = full.num_entries() / (left * p);
+                    let y_slab = left * p;
+                    for split in splits(right) {
+                        for (range, base) in [(0..split, 0usize), (split..right, split * y_slab)] {
+                            let cols = range.len();
+                            let part = ttm_right_range(&x, mode, &op, trans, range);
+                            let want = &full.data()[base..base + cols * y_slab];
+                            assert_eq!(
+                                part.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                "mode {mode} p {p} {trans:?} split {split}"
+                            );
+                        }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn ttm_right_range_is_bitwise_slice_of_full_ttm() {
+        assert_ranges_slice_full_ttm(&[4, 3, 5, 2], &[2], |right| (0..=right).collect());
+    }
+
+    #[test]
+    fn ttm_right_range_is_bitwise_slice_of_full_ttm_above_pack_threshold() {
+        // Past PACK_MIN_FLOPS, so each width reaches the kernel path it
+        // selects: the narrow ones for p ≤ 16 (`Transpose::Yes`), the
+        // packed one for p = 17 and for `Transpose::No`. Every split for
+        // modes 1 and 2; mode 0's 384 output columns are split at every
+        // 37th column and next to the ends.
+        assert_ranges_slice_full_ttm(&[32, 24, 16], &[1, 7, 16, 17], |right| {
+            let mut s: Vec<usize> = (0..=right)
+                .step_by(if right > 100 { 37 } else { 1 })
+                .collect();
+            s.extend([1, right - 1, right]);
+            s
+        });
     }
 
     #[test]
