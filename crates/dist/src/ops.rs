@@ -647,8 +647,8 @@ fn gram_impl<T: Scalar>(
         // and apply the symmetric rank-k update G += A Aᵀ. On rung ≥ 2
         // the unfolding is *streamed*: A is assembled and consumed in
         // contiguous ascending column batches of 1/8 of the share, so
-        // the scratch shrinks 8× — and because every `syrk_nt` path
-        // (packed, small-fallback, multithreaded) accumulates each
+        // the scratch shrinks 8× — and because `syrk_nt` (k-blocked
+        // narrow panels, single- or multithreaded) accumulates each
         // G[i,j] by the same strictly-ascending-k chain with an exact
         // store/load between batches (symmetrization is an overwrite
         // copy), the batched result is bit-identical to the monolithic

@@ -23,7 +23,7 @@
 //! `mul_add` because without `-C target-feature=+fma` it lowers to a
 //! libm call and destroys throughput.
 //!
-//! # The narrow paths (the TTM's r-wide side)
+//! # The narrow paths (the TTM's r-wide side and the SYRK panels)
 //!
 //! A Tucker TTM multiplies a large tensor slab by a factor with only
 //! `r ≤ 16` columns. Packing there copies the large operand once per
@@ -31,20 +31,31 @@
 //! `r` up to a multiple of `NR`. So two shapes skip packing, chosen by
 //! shape alone:
 //!
-//! - `C += A·B`, neither transposed, `n ≤` [`NARROW_MAX_N`] (every
-//!   middle- and last-mode TTM): [`gemm_narrow`] reads A in place,
-//!   one contiguous run of an A column per depth step, and keeps a
-//!   `rows × n` tile of C in registers for all of `k`;
+//! - `C += A·op(B)`, A not transposed, `n ≤` [`NARROW_MAX_N`]:
+//!   [`gemm_narrow`] reads A in place, one contiguous run of an A
+//!   column per depth step, and keeps a `rows × n` tile of C in
+//!   registers for all of `k`. With B as is, this is every middle- and
+//!   last-mode TTM; with B transposed (the const `BT`, which only
+//!   changes where the B scalar is read), it is a `Transpose::No` TTM
+//!   slab, the mode-0 SI contraction and every `A·Aᵀ` SYRK panel;
 //! - `C += Aᵀ·B`, `m ≤` [`NARROW_MAX_N`] (the mode-0 TTM):
 //!   [`gemm_narrow_tn`] copies the small `Aᵀ` once and reads B in
 //!   place.
+//!
+//! The `A·Aᵀ` SYRK ([`syrk_nt`], every Gram) runs its lower trapezoid
+//! as 8-wide panels of the `BT` narrow path, with `k` cut into
+//! [`KC`]-deep blocks outermost so one block of A stays in cache across
+//! all the panels. `Aᵀ·A` ([`syrk_tn`]) stays packed.
 //!
 //! Measured on a 2-vCPU AVX-512 Xeon container (f32, GFLOP/s, best of
 //! repeated calls, three runs on a shared host): the last-mode TTM
 //! (m 16384, n 11, k 64) runs at 16–22 narrow against 9–17 packed, one
 //! middle-mode slab batch (m 128, n 11, k 128) at 19–32 against 9–15,
 //! and the mode-0 TTM (r 11, k 128, 8192 columns) at 23–35 against
-//! 8–13. A square 256³ `gemm_nn` runs at about 30 packed.
+//! 8–13. A square 256³ `gemm_nn` runs at about 30 packed. On one worker
+//! (best of repeated calls, four runs), the mode-0 Gram of a 128 × 8192
+//! f32 unfolding runs at 17–24 against 15 with packed panels, and
+//! `gemm_nt` at m 128, n 11, k 8192 at 20–30 against 12–18.
 //!
 //! # The canonical accumulation order (bit-identity contract)
 //!
@@ -60,8 +71,9 @@
 //! each element's chain is computed entirely by one worker in the same
 //! order regardless of [`crate::par::num_threads`]. The SYRK kernels
 //! inherit the same guarantee for the lower triangle (the upper one is
-//! an exact mirror copy), which is what lets `ratucker-dist` stream Gram
-//! updates in `k`-batches at degradation rung ≥ 2 bit-identically.
+//! an exact mirror copy), which is what lets [`crate::gram`] stream the
+//! mode-`n` unfolding and `ratucker-dist` stream Gram updates in
+//! `k`-batches at degradation rung ≥ 2, both bit-identically.
 
 // BLAS-style (dims, buffers, leading dims) signatures, and indexed
 // micro-loops kept in the shape rustc's vectorizer handles best.
@@ -82,18 +94,20 @@ const NR: usize = 8;
 /// Rows of A packed per cache block (micropanel strip height `MC`×`KC`
 /// sized for L2 residency: 128·256·8 B = 256 KiB for f64).
 const MC: usize = 128;
-/// Depth of one packed block; also the interval between exact C
+/// Depth of one packed block, and of one SYRK `k`-block and one block
+/// of the streamed Gram unfolding; also the interval between exact C
 /// store/loads in the accumulation chain.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Columns of B packed per cache block (`KC`×`NC` ≈ 1 MiB for f64).
 const NC: usize = 512;
 /// Column-block width of the SYRK trapezoid sweep: small enough that the
 /// redundant above-diagonal work within a diagonal block stays a few
-/// percent, large enough to amortize packing the trapezoid's A panel.
+/// percent, and within [`NARROW_MAX_N`], so an `A·Aᵀ` panel runs the
+/// narrow path with a 16-row f32 (8-row f64) register tile.
 const SYRK_BLOCK: usize = 8;
 
 /// Below this many flops (`2mnk`) a product runs the unblocked loop
-/// unless the narrow `A·B` path takes it: packing would cost a
+/// unless the narrow `A·op(B)` path takes it: packing would cost a
 /// comparable number of memory moves. The threshold never changes
 /// results — every path produces the canonical chain.
 const PACK_MIN_FLOPS: u64 = 16 * 1024;
@@ -246,9 +260,9 @@ fn gemm_small<T: Scalar>(
     }
 }
 
-/// Widest r-side the narrow paths serve: `C += A·B` with `n` at most
-/// this runs [`gemm_narrow`], `C += Aᵀ·B` with `m` at most this runs
-/// [`gemm_narrow_tn`], instead of packing.
+/// Widest r-side the narrow paths serve: `C += A·op(B)` with `n` at
+/// most this runs [`gemm_narrow`], `C += Aᵀ·B` with `m` at most this
+/// runs [`gemm_narrow_tn`], instead of packing.
 const NARROW_MAX_N: usize = 16;
 
 /// Register budget of one narrow tile's accumulators, in bytes (24 of
@@ -258,19 +272,22 @@ const NARROW_MAX_N: usize = 16;
 /// `n = 11` ran at half the 16-row one's rate).
 const NARROW_TILE_BYTES: usize = 768;
 
-/// The narrow path: `C += A·B` for `A` and `B` not transposed and
-/// `n ≤` [`NARROW_MAX_N`], reading `A` in place. Each `rows × n` tile
-/// of C is loaded into registers, updated by every depth step in
-/// ascending `k` (one contiguous `rows`-long read of an A column and
-/// `n` scalars of B per step) and stored once, so each element is the
-/// canonical chain of the module docs. The tallest tile that fits
-/// [`NARROW_TILE_BYTES`] covers the bulk of the rows; shorter tiles and
-/// then [`gemm_small`] take the remainder, with the same chain.
+/// The narrow path: `C += A·op(B)` for `A` not transposed and
+/// `n ≤` [`NARROW_MAX_N`], reading `A` in place. `BT` reads `B`
+/// transposed (element `(l, j)` at `b[j + l·ldb]`): the `A·Bᵀ` of a
+/// SYRK panel, a `Transpose::No` TTM slab or the mode-0 SI contraction.
+/// Each `rows × n` tile of C is loaded into registers, updated by every
+/// depth step in ascending `k` (one contiguous `rows`-long read of an A
+/// column and `n` scalars of B per step) and stored once, so each
+/// element is the canonical chain of the module docs. The tallest tile
+/// that fits [`NARROW_TILE_BYTES`] covers the bulk of the rows; shorter
+/// tiles and then [`gemm_small`] take the remainder, with the same
+/// chain.
 ///
 /// The width must be a compile-time constant for rustc to keep the tile
 /// in registers (a runtime-`n` loop over a 16-wide tile ran ~2× slower),
 /// hence one monomorphized body per `n`.
-fn gemm_narrow<T: Scalar>(
+fn gemm_narrow<T: Scalar, const BT: bool>(
     m: usize,
     n: usize,
     k: usize,
@@ -287,27 +304,28 @@ fn gemm_narrow<T: Scalar>(
         // more rows beat it. Columns are independent chains, so the
         // split cannot change a bit.
         let half = n / 2;
-        gemm_narrow(m, half, k, a, lda, b, ldb, c, ldc);
-        let (b_rest, c_rest) = (&b[half * ldb..], &mut c[half * ldc..]);
-        return gemm_narrow(m, n - half, k, a, lda, b_rest, ldb, c_rest, ldc);
+        gemm_narrow::<T, BT>(m, half, k, a, lda, b, ldb, c, ldc);
+        let b_rest = if BT { &b[half..] } else { &b[half * ldb..] };
+        let c_rest = &mut c[half * ldc..];
+        return gemm_narrow::<T, BT>(m, n - half, k, a, lda, b_rest, ldb, c_rest, ldc);
     }
     let done = match n {
-        1 => narrow_width::<T, 1>(m, k, a, lda, b, ldb, c, ldc),
-        2 => narrow_width::<T, 2>(m, k, a, lda, b, ldb, c, ldc),
-        3 => narrow_width::<T, 3>(m, k, a, lda, b, ldb, c, ldc),
-        4 => narrow_width::<T, 4>(m, k, a, lda, b, ldb, c, ldc),
-        5 => narrow_width::<T, 5>(m, k, a, lda, b, ldb, c, ldc),
-        6 => narrow_width::<T, 6>(m, k, a, lda, b, ldb, c, ldc),
-        7 => narrow_width::<T, 7>(m, k, a, lda, b, ldb, c, ldc),
-        8 => narrow_width::<T, 8>(m, k, a, lda, b, ldb, c, ldc),
-        9 => narrow_width::<T, 9>(m, k, a, lda, b, ldb, c, ldc),
-        10 => narrow_width::<T, 10>(m, k, a, lda, b, ldb, c, ldc),
-        11 => narrow_width::<T, 11>(m, k, a, lda, b, ldb, c, ldc),
-        12 => narrow_width::<T, 12>(m, k, a, lda, b, ldb, c, ldc),
-        13 => narrow_width::<T, 13>(m, k, a, lda, b, ldb, c, ldc),
-        14 => narrow_width::<T, 14>(m, k, a, lda, b, ldb, c, ldc),
-        15 => narrow_width::<T, 15>(m, k, a, lda, b, ldb, c, ldc),
-        16 => narrow_width::<T, 16>(m, k, a, lda, b, ldb, c, ldc),
+        1 => narrow_width::<T, BT, 1>(m, k, a, lda, b, ldb, c, ldc),
+        2 => narrow_width::<T, BT, 2>(m, k, a, lda, b, ldb, c, ldc),
+        3 => narrow_width::<T, BT, 3>(m, k, a, lda, b, ldb, c, ldc),
+        4 => narrow_width::<T, BT, 4>(m, k, a, lda, b, ldb, c, ldc),
+        5 => narrow_width::<T, BT, 5>(m, k, a, lda, b, ldb, c, ldc),
+        6 => narrow_width::<T, BT, 6>(m, k, a, lda, b, ldb, c, ldc),
+        7 => narrow_width::<T, BT, 7>(m, k, a, lda, b, ldb, c, ldc),
+        8 => narrow_width::<T, BT, 8>(m, k, a, lda, b, ldb, c, ldc),
+        9 => narrow_width::<T, BT, 9>(m, k, a, lda, b, ldb, c, ldc),
+        10 => narrow_width::<T, BT, 10>(m, k, a, lda, b, ldb, c, ldc),
+        11 => narrow_width::<T, BT, 11>(m, k, a, lda, b, ldb, c, ldc),
+        12 => narrow_width::<T, BT, 12>(m, k, a, lda, b, ldb, c, ldc),
+        13 => narrow_width::<T, BT, 13>(m, k, a, lda, b, ldb, c, ldc),
+        14 => narrow_width::<T, BT, 14>(m, k, a, lda, b, ldb, c, ldc),
+        15 => narrow_width::<T, BT, 15>(m, k, a, lda, b, ldb, c, ldc),
+        16 => narrow_width::<T, BT, 16>(m, k, a, lda, b, ldb, c, ldc),
         _ => unreachable!("narrow path called with n = {n}"),
     };
     if done < m {
@@ -320,7 +338,7 @@ fn gemm_narrow<T: Scalar>(
             false,
             b,
             ldb,
-            false,
+            BT,
             &mut c[done..],
             ldc,
         );
@@ -330,7 +348,7 @@ fn gemm_narrow<T: Scalar>(
 /// Runs width `N`'s tile cascade and returns how many leading rows are
 /// done (all but fewer than 4). The height tests fold to constants per
 /// monomorphization, so only the heights that fit are compiled in.
-fn narrow_width<T: Scalar, const N: usize>(
+fn narrow_width<T: Scalar, const BT: bool, const N: usize>(
     m: usize,
     k: usize,
     a: &[T],
@@ -343,12 +361,12 @@ fn narrow_width<T: Scalar, const N: usize>(
     let top = narrow_rows::<T>(N);
     let mut done = 0;
     if top >= 16 {
-        done = narrow_tiles::<T, N, 16>(done, m, k, a, lda, b, ldb, c, ldc);
+        done = narrow_tiles::<T, BT, N, 16>(done, m, k, a, lda, b, ldb, c, ldc);
     }
     if top >= 8 {
-        done = narrow_tiles::<T, N, 8>(done, m, k, a, lda, b, ldb, c, ldc);
+        done = narrow_tiles::<T, BT, N, 8>(done, m, k, a, lda, b, ldb, c, ldc);
     }
-    narrow_tiles::<T, N, 4>(done, m, k, a, lda, b, ldb, c, ldc)
+    narrow_tiles::<T, BT, N, 4>(done, m, k, a, lda, b, ldb, c, ldc)
 }
 
 /// Height of width `n`'s tallest narrow tile: the largest of 16 and 8
@@ -364,7 +382,7 @@ fn narrow_rows<T: Scalar>(n: usize) -> usize {
 /// Runs every full `TM × N` tile of C in rows `from..m` and returns the
 /// first row left over (fewer than `TM` remain).
 #[inline(always)]
-fn narrow_tiles<T: Scalar, const N: usize, const TM: usize>(
+fn narrow_tiles<T: Scalar, const BT: bool, const N: usize, const TM: usize>(
     from: usize,
     m: usize,
     k: usize,
@@ -386,7 +404,7 @@ fn narrow_tiles<T: Scalar, const N: usize, const TM: usize>(
                 .try_into()
                 .expect("TM slice");
             for (j, col) in acc.iter_mut().enumerate() {
-                let s = b[l + j * ldb];
+                let s = if BT { b[j + l * ldb] } else { b[l + j * ldb] };
                 for i in 0..TM {
                     col[i] += ar[i] * s;
                 }
@@ -589,7 +607,8 @@ pub(crate) fn gemm_serial<T: Scalar>(
         return;
     }
     match gemm_path(m, n, k, at, bt) {
-        GemmPath::Narrow => gemm_narrow(m, n, k, a, lda, b, ldb, c, ldc),
+        GemmPath::Narrow if bt => gemm_narrow::<T, true>(m, n, k, a, lda, b, ldb, c, ldc),
+        GemmPath::Narrow => gemm_narrow::<T, false>(m, n, k, a, lda, b, ldb, c, ldc),
         GemmPath::NarrowTn => gemm_narrow_tn(m, n, k, a, lda, b, ldb, c, ldc),
         GemmPath::Small => gemm_small(m, n, k, a, lda, at, b, ldb, bt, c, ldc),
         GemmPath::Packed => gemm_packed(m, n, k, a, lda, at, b, ldb, bt, c, ldc),
@@ -608,7 +627,7 @@ enum GemmPath {
 /// Picks the path by shape alone (see the module docs). The transposed
 /// narrow path copies `Aᵀ`, so tiny products skip it like packing.
 fn gemm_path(m: usize, n: usize, k: usize, at: bool, bt: bool) -> GemmPath {
-    if !at && !bt && n <= NARROW_MAX_N {
+    if !at && n <= NARROW_MAX_N {
         GemmPath::Narrow
     } else if 2 * (m as u64) * (n as u64) * (k as u64) < PACK_MIN_FLOPS {
         GemmPath::Small
@@ -708,7 +727,7 @@ pub fn gemm_nt<T: Scalar>(
 }
 
 /// Copies the strictly-lower triangle into the upper one.
-pub(crate) fn mirror_lower<T: Scalar>(n: usize, c: &mut [T], ldc: usize) {
+fn mirror_lower<T: Scalar>(n: usize, c: &mut [T], ldc: usize) {
     for j in 0..n {
         for i in j + 1..n {
             c[j + i * ldc] = c[i + j * ldc];
@@ -716,8 +735,8 @@ pub(crate) fn mirror_lower<T: Scalar>(n: usize, c: &mut [T], ldc: usize) {
     }
 }
 
-/// Unblocked SYRK fallbacks: canonical ascending-`k` chains on the lower
-/// triangle, mirrored by the caller.
+/// Unblocked `Aᵀ·A` fallback for tiny products: canonical ascending-`k`
+/// chains on the lower triangle, mirrored by the caller.
 fn syrk_tn_small<T: Scalar>(n: usize, k: usize, a: &[T], lda: usize, c: &mut [T], ldc: usize) {
     for j in 0..n {
         for l in 0..k {
@@ -729,28 +748,22 @@ fn syrk_tn_small<T: Scalar>(n: usize, k: usize, a: &[T], lda: usize, c: &mut [T]
     }
 }
 
-fn syrk_nt_small<T: Scalar>(m: usize, k: usize, a: &[T], lda: usize, c: &mut [T], ldc: usize) {
-    for j in 0..m {
-        for l in 0..k {
-            let s = a[j + l * lda];
-            let col = &a[l * lda..l * lda + m];
-            for i in j..m {
-                c[i + j * ldc] += col[i] * s;
-            }
-        }
-    }
-}
-
 /// One worker's share of a SYRK: sweeps its column range `cols` of the
-/// lower trapezoid in [`SYRK_BLOCK`]-wide panels, each panel one packed
-/// GEMM `C[j0.., j0..j1) += op(A)[j0.., :] · op(A)[:, j0..j1)`. Entries
+/// lower trapezoid in [`SYRK_BLOCK`]-wide panels, each panel one GEMM
+/// `C[j0.., j0..j1) += op(A)[j0.., :] · op(A)[:, j0..j1)`. Entries
 /// *above* the diagonal inside a panel are computed redundantly and later
-/// overwritten by the mirror — the price of routing through the packed
-/// rectangular kernel, bounded by `SYRK_BLOCK / n`.
+/// overwritten by the mirror, a cost bounded by `SYRK_BLOCK / n`.
+///
+/// `k` runs in [`KC`]-deep blocks outermost, the panels inside each
+/// block, so one block of A stays in cache across all `n / SYRK_BLOCK`
+/// panels instead of being streamed from memory once per panel. Each
+/// panel call loads and stores its C tile exactly, so the blocking
+/// leaves every element's ascending-`k` chain unchanged.
 ///
 /// `nt == true` selects the `A·Aᵀ` orientation (`A` is `dim×k`, offset
-/// rows), otherwise `Aᵀ·A` (`A` is `k×dim`, offset columns). `csub` is
-/// the column panel of C starting at column `cols.start`.
+/// rows; every panel is an `A·Bᵀ` product of the narrow shape, read in
+/// place), otherwise `Aᵀ·A` (`A` is `k×dim`, offset columns; packed).
+/// `csub` is the column panel of C starting at column `cols.start`.
 pub(crate) fn syrk_trapezoid<T: Scalar>(
     dim: usize,
     k: usize,
@@ -761,24 +774,28 @@ pub(crate) fn syrk_trapezoid<T: Scalar>(
     csub: &mut [T],
     ldc: usize,
 ) {
-    let mut j0 = cols.start;
-    while j0 < cols.end {
-        let jw = SYRK_BLOCK.min(cols.end - j0);
-        let rows = dim - j0;
-        let cblk = &mut csub[(j0 - cols.start) * ldc + j0..];
-        if nt {
-            let a_off = &a[j0..];
-            gemm_serial(rows, jw, k, a_off, lda, false, a_off, lda, true, cblk, ldc);
-        } else {
-            let a_off = &a[j0 * lda..];
-            gemm_serial(rows, jw, k, a_off, lda, true, a_off, lda, false, cblk, ldc);
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        let mut j0 = cols.start;
+        while j0 < cols.end {
+            let jw = SYRK_BLOCK.min(cols.end - j0);
+            let rows = dim - j0;
+            let cblk = &mut csub[(j0 - cols.start) * ldc + j0..];
+            if nt {
+                let a_off = &a[j0 + pc * lda..];
+                gemm_serial(rows, jw, kc, a_off, lda, false, a_off, lda, true, cblk, ldc);
+            } else {
+                let a_off = &a[pc + j0 * lda..];
+                gemm_serial(rows, jw, kc, a_off, lda, true, a_off, lda, false, cblk, ldc);
+            }
+            j0 += jw;
         }
-        j0 += jw;
     }
 }
 
-/// Shared SYRK driver: formula flop count, small/packed selection,
-/// column partition across the pool, final mirror.
+/// Shared SYRK driver: formula flop count, then the tiny `Aᵀ·A`
+/// fallback or the trapezoid sweep. The `A·Aᵀ` panels are unpacked at
+/// every size.
 fn syrk_dispatch<T: Scalar>(
     dim: usize,
     k: usize,
@@ -790,24 +807,34 @@ fn syrk_dispatch<T: Scalar>(
 ) {
     let fl = (dim as u64) * ((dim as u64) + 1) * (k as u64);
     flops::add(fl);
-    if fl < PACK_MIN_FLOPS {
-        if nt_kind {
-            syrk_nt_small(dim, k, a, lda, c, ldc);
-        } else {
-            syrk_tn_small(dim, k, a, lda, c, ldc);
-        }
+    if !nt_kind && fl < PACK_MIN_FLOPS {
+        syrk_tn_small(dim, k, a, lda, c, ldc);
+        mirror_lower(dim, c, ldc);
     } else {
-        let workers = if fl < par::PAR_MIN_FLOPS {
-            1
-        } else {
-            par::num_threads()
-        };
-        let ranges = par::partition(dim, workers.min(dim));
-        let parts = par::split_columns(c, ldc, &ranges);
-        par::for_each_part(parts, |_, (cols, csub)| {
+        syrk_columns(dim, fl, c, ldc, |cols, csub| {
             syrk_trapezoid(dim, k, a, lda, nt_kind, cols, csub, ldc);
         });
     }
+}
+
+/// Runs `sweep(cols, csub)` on column panels of the `dim × dim` C split
+/// across the worker pool (one worker below `fl <` [`par::PAR_MIN_FLOPS`]
+/// flops), then mirrors the lower triangle into the upper one.
+pub(crate) fn syrk_columns<T: Scalar>(
+    dim: usize,
+    fl: u64,
+    c: &mut [T],
+    ldc: usize,
+    sweep: impl Fn(std::ops::Range<usize>, &mut [T]) + Sync,
+) {
+    let workers = if fl < par::PAR_MIN_FLOPS {
+        1
+    } else {
+        par::num_threads()
+    };
+    let ranges = par::partition(dim, workers.min(dim));
+    let parts = par::split_columns(c, ldc, &ranges);
+    par::for_each_part(parts, |_, (cols, csub)| sweep(cols, csub));
     mirror_lower(dim, c, ldc);
 }
 
@@ -1105,21 +1132,46 @@ mod tests {
 
     #[test]
     fn syrk_nt_k_batched_accumulation_is_bit_identical() {
-        // The streamed-Gram contract (`ratucker-dist` at rung ≥ 2):
-        // accumulating A's columns in ascending batches over several
-        // syrk_nt calls must reproduce the monolithic call bit-for-bit.
-        let m = 45;
-        let k = 64;
-        let a = Matrix::from_fn(m, k, |i, j| ((i * k + j) as f64 * 0.011).sin());
-        let mut mono = Matrix::<f64>::zeros(m, m);
-        syrk_nt(m, k, a.as_slice(), m, mono.as_mut_slice(), m);
-        let mut batched = Matrix::<f64>::zeros(m, m);
-        for (k0, kb) in [(0usize, 17usize), (17, 30), (47, 17)] {
-            syrk_nt(m, kb, &a.as_slice()[k0 * m..], m, batched.as_mut_slice(), m);
+        // The streamed-Gram contract (`gram_accumulate` for modes > 0,
+        // `ratucker-dist` at rung ≥ 2): accumulating A's columns in
+        // ascending batches over several syrk_nt calls must reproduce
+        // one monolithic chain bit-for-bit, across the KC = 256 k-block
+        // boundaries of the trapezoid sweep too. The reference is the
+        // written-out chain on the lower triangle, mirrored.
+        fn run<T: Scalar>() {
+            for (m, k) in [(45, 64), (45, 600), (19, 513), (130, 300)] {
+                let a: Vec<T> = fill(m * k, 0.011);
+                let c0: Vec<T> = fill(m * m, 0.007);
+                let mut want = c0.clone();
+                for j in 0..m {
+                    for i in j..m {
+                        let mut acc = want[i + j * m];
+                        for l in 0..k {
+                            acc += a[i + l * m] * a[j + l * m];
+                        }
+                        want[i + j * m] = acc;
+                    }
+                }
+                mirror_lower(m, &mut want, m);
+                let mut mono = c0.clone();
+                syrk_nt(m, k, &a, m, &mut mono, m);
+                assert_eq!(bits(&mono), bits(&want), "monolithic m {m} k {k}");
+                // Batches that start and end off the block boundaries.
+                let mut batched = c0;
+                let mut k0 = 0;
+                for kb in [17, 255, 30, 257, 1].into_iter().cycle() {
+                    let kb = kb.min(k - k0);
+                    syrk_nt(m, kb, &a[k0 * m..], m, &mut batched, m);
+                    k0 += kb;
+                    if k0 == k {
+                        break;
+                    }
+                }
+                assert_eq!(bits(&batched), bits(&want), "batched m {m} k {k}");
+            }
         }
-        for (x, y) in mono.as_slice().iter().zip(batched.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        run::<f32>();
+        run::<f64>();
     }
 
     #[test]
@@ -1159,9 +1211,9 @@ mod tests {
         crate::par::set_num_threads(1);
     }
 
-    /// The canonical chain written out: `C[i,j] += op(A)(i,l)·B(l,j)`
+    /// The canonical chain written out: `C[i,j] += op(A)(i,l)·op(B)(l,j)`
     /// for `l = 0, 1, …`, one rounding per step (`at` reads `A` as
-    /// `k×m`).
+    /// `k×m`, `bt` reads `B` as `n×k`).
     fn chain_oracle<T: Scalar>(
         m: usize,
         n: usize,
@@ -1171,6 +1223,7 @@ mod tests {
         at: bool,
         b: &[T],
         ldb: usize,
+        bt: bool,
         c: &mut [T],
         ldc: usize,
     ) {
@@ -1179,50 +1232,65 @@ mod tests {
                 let mut acc = c[i + j * ldc];
                 for l in 0..k {
                     let ail = if at { a[l + i * lda] } else { a[i + l * lda] };
-                    acc += ail * b[l + j * ldb];
+                    let blj = if bt { b[j + l * ldb] } else { b[l + j * ldb] };
+                    acc += ail * blj;
                 }
                 c[i + j * ldc] = acc;
             }
         }
     }
 
-    /// Runs `gemm_nn` (or `gemm_tn` when `at`) against [`chain_oracle`]
-    /// on padded leading dimensions and a nonzero C, comparing the whole
-    /// C buffer (padding included) bit for bit.
-    fn assert_chain_bitwise<T: Scalar>(m: usize, n: usize, k: usize, at: bool) {
+    /// Deterministic fill for the bitwise tests.
+    fn fill<T: Scalar>(len: usize, step: f64) -> Vec<T> {
+        (0..len)
+            .map(|i| T::from_f64(((i as f64) * step + 0.25).sin()))
+            .collect()
+    }
+
+    fn bits<T: Scalar>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// Runs `gemm_nn`, `gemm_tn` (`at`) or `gemm_nt` (`bt`) against
+    /// [`chain_oracle`] on padded leading dimensions and a nonzero C,
+    /// comparing the whole C buffer (padding included) bit for bit.
+    fn assert_chain_bitwise<T: Scalar>(m: usize, n: usize, k: usize, at: bool, bt: bool) {
         let (a_rows, a_cols) = if at { (k, m) } else { (m, k) };
-        let (lda, ldb, ldc) = (a_rows + 3, k + 1, m + 2);
-        let val = |i: usize, s: f64| T::from_f64(((i as f64) * s + 0.25).sin());
-        let a: Vec<T> = (0..lda * a_cols).map(|i| val(i, 0.013)).collect();
-        let b: Vec<T> = (0..ldb * n).map(|i| val(i, 0.021)).collect();
-        let c0: Vec<T> = (0..ldc * n).map(|i| val(i, 0.017)).collect();
+        let (b_rows, b_cols) = if bt { (n, k) } else { (k, n) };
+        let (lda, ldb, ldc) = (a_rows + 3, b_rows + 1, m + 2);
+        let a: Vec<T> = fill(lda * a_cols, 0.013);
+        let b: Vec<T> = fill(ldb * b_cols, 0.021);
+        let c0: Vec<T> = fill(ldc * n, 0.017);
         let mut want = c0.clone();
-        chain_oracle(m, n, k, &a, lda, at, &b, ldb, &mut want, ldc);
+        chain_oracle(m, n, k, &a, lda, at, &b, ldb, bt, &mut want, ldc);
         let mut got = c0;
-        if at {
-            gemm_tn(m, n, k, &a, lda, &b, ldb, &mut got, ldc);
-        } else {
-            gemm_nn(m, n, k, &a, lda, &b, ldb, &mut got, ldc);
+        match (at, bt) {
+            (false, false) => gemm_nn(m, n, k, &a, lda, &b, ldb, &mut got, ldc),
+            (true, false) => gemm_tn(m, n, k, &a, lda, &b, ldb, &mut got, ldc),
+            (false, true) => gemm_nt(m, n, k, &a, lda, &b, ldb, &mut got, ldc),
+            (true, true) => unreachable!("no Aᵀ·Bᵀ kernel"),
         }
-        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got), bits(&want), "m {m} n {n} k {k} at {at}");
+        assert_eq!(bits(&got), bits(&want), "m {m} n {n} k {k} at {at} bt {bt}");
     }
 
     #[test]
     fn ttm_shapes_take_the_narrow_paths() {
         use GemmPath::*;
         // (m, n, k, at, bt): a last-mode TTM, a middle-mode slab, the
-        // mode-0 TTM, a tiny mode-0 TTM (unblocked), then r = 17, a
-        // `Transpose::No` slab (`gemm_nt`) and a SYRK panel, which stay
-        // packed.
+        // mode-0 TTM, a tiny mode-0 TTM (unblocked), a `Transpose::No`
+        // slab (`gemm_nt`), a k-block of an `A·Aᵀ` SYRK panel and the
+        // mode-0 SI contraction (`gemm_nt`, r ≤ 16); then r = 17 and an
+        // `Aᵀ·A` SYRK panel, which stay packed.
         let cases = [
             ((16384, 11, 64, false, false), Narrow),
             ((128, 16, 128, false, false), Narrow),
             ((11, 8192, 128, true, false), NarrowTn),
             ((4, 8, 64, true, false), Small),
+            ((128, 11, 128, false, true), Narrow),
+            ((120, 8, 256, false, true), Narrow),
+            ((128, 11, 8192, false, true), Narrow),
             ((16384, 17, 64, false, false), Packed),
             ((17, 8192, 128, true, false), Packed),
-            ((128, 11, 128, false, true), Packed),
             ((120, 8, 64, true, false), Packed),
         ];
         for ((m, n, k, at, bt), want) in cases {
@@ -1236,22 +1304,26 @@ mod tests {
 
     #[test]
     fn narrow_gemm_is_bitwise_the_canonical_chain() {
+        // `C += A·B` and, with `bt`, `C += A·Bᵀ` (the SYRK panels,
+        // `Transpose::No` TTM slabs and the mode-0 SI contraction).
         fn run<T: Scalar>() {
-            for n in 1..=NARROW_MAX_N {
-                let top = narrow_rows::<T>(n);
-                // One short of a tile, a tile, one past it, and a run
-                // through every height of the cascade.
-                for m in [top - 1, top, top + 1, 2 * top - 1] {
-                    for k in [1, 255, 256, 257, 600] {
-                        assert_chain_bitwise::<T>(m, n, k, false);
+            for bt in [false, true] {
+                for n in 1..=NARROW_MAX_N {
+                    let top = narrow_rows::<T>(n);
+                    // One short of a tile, a tile, one past it, and a
+                    // run through every height of the cascade.
+                    for m in [top - 1, top, top + 1, 2 * top - 1] {
+                        for k in [1, 255, 256, 257, 600] {
+                            assert_chain_bitwise::<T>(m, n, k, false, bt);
+                        }
+                    }
+                    for k in [1, 3] {
+                        assert_chain_bitwise::<T>(16384, n, k, false, bt);
                     }
                 }
-                for k in [1, 3] {
-                    assert_chain_bitwise::<T>(16384, n, k, false);
-                }
+                // The last-mode TTM shape of a 128³ solve.
+                assert_chain_bitwise::<T>(16384, 11, 64, false, bt);
             }
-            // The last-mode TTM shape of a 128³ solve.
-            assert_chain_bitwise::<T>(16384, 11, 64, false);
         }
         run::<f32>();
         run::<f64>();
@@ -1265,7 +1337,7 @@ mod tests {
                 // 8-wide tiles; past PACK_MIN_FLOPS once k ≥ 255.
                 for n in [35, 36, 37, 39, 40, 41] {
                     for k in [1, 255, 256, 257, 600] {
-                        assert_chain_bitwise::<T>(m, n, k, true);
+                        assert_chain_bitwise::<T>(m, n, k, true, false);
                     }
                 }
             }

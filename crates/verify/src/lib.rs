@@ -36,6 +36,6 @@ pub use invariants::{
     check_symmetric_psd, check_ttm_commutes,
 };
 pub use oracle::{
-    gram_naive, hooi_textbook, jacobi_eigenvalues_naive, matmul_naive, sthosvd_textbook, ttm_naive,
-    TextbookTruncation, TextbookTucker,
+    gram_naive, hooi_textbook, hosi_textbook, jacobi_eigenvalues_naive, matmul_naive, qrcp_q_naive,
+    sthosvd_textbook, ttm_naive, TextbookTruncation, TextbookTucker,
 };

@@ -9,12 +9,14 @@
 //! [`crate::tolerances`] is a bug in one of the two, and the oracle is
 //! short enough to audit by eye.
 //!
-//! Two whole-algorithm oracles sit on top of these kernels:
+//! Three whole-algorithm oracles sit on top of these kernels:
 //! [`sthosvd_textbook`] and [`hooi_textbook`] follow the algorithms as
 //! printed, taking every leading left singular vector from a Jacobi SVD
-//! of the unfolding itself, with no Gram matrix, eigensolver, dimension
-//! tree or data distribution. The solvers are checked against them on
-//! every processor grid.
+//! of the unfolding itself, and [`hosi_textbook`] takes it from one
+//! subspace-iteration step (Alg. 5) on naive TTMs and a Gram–Schmidt
+//! QRCP ([`qrcp_q_naive`]). None uses a Gram matrix, eigensolver,
+//! dimension tree or data distribution. The solvers are checked against
+//! them on every processor grid.
 
 use ratucker_linalg::svd::svd_jacobi;
 use ratucker_tensor::{fold, unfold, DenseTensor, Matrix, Scalar, Shape, Transpose};
@@ -184,6 +186,35 @@ pub fn hooi_textbook<T: Scalar>(
     init: &[Matrix<T>],
     sweeps: usize,
 ) -> TextbookTucker<T> {
+    sweep_textbook(x, init, sweeps, |y, n, u| {
+        svd_jacobi(&unfold(y, n)).u.leading_cols(u.cols())
+    })
+}
+
+/// HOSI: HOOI whose LLSV is one step of subspace iteration (Alg. 5)
+/// from the current factor, in the sweep shape of [`hooi_textbook`].
+/// For mode `n`, with `Y` the tensor projected on every other factor:
+/// `G = Y ×_n U_nᵀ`, `Z = Y_(n) · G_(n)ᵀ`, and the new `U_n` is the `Q`
+/// of a column-pivoted QR of `Z` ([`qrcp_q_naive`]).
+pub fn hosi_textbook<T: Scalar>(
+    x: &DenseTensor<T>,
+    init: &[Matrix<T>],
+    sweeps: usize,
+) -> TextbookTucker<T> {
+    sweep_textbook(x, init, sweeps, |y, n, u| {
+        let g = ttm_naive(y, n, u, Transpose::Yes);
+        qrcp_q_naive(&matmul_naive(&unfold(y, n), &unfold(&g, n).transpose()))
+    })
+}
+
+/// The Gauss–Seidel sweep both fixed-rank oracles share: `llsv(Y, n,
+/// U_n)` returns mode `n`'s new factor from the projected tensor `Y`.
+fn sweep_textbook<T: Scalar>(
+    x: &DenseTensor<T>,
+    init: &[Matrix<T>],
+    sweeps: usize,
+    llsv: impl Fn(&DenseTensor<T>, usize, &Matrix<T>) -> Matrix<T>,
+) -> TextbookTucker<T> {
     let project = |factors: &[Matrix<T>], skip: Option<usize>| {
         (0..x.order())
             .filter(|&k| Some(k) != skip)
@@ -195,10 +226,38 @@ pub fn hooi_textbook<T: Scalar>(
     for _ in 0..sweeps {
         for n in 0..x.order() {
             let y = project(&factors, Some(n));
-            factors[n] = svd_jacobi(&unfold(&y, n)).u.leading_cols(factors[n].cols());
+            factors[n] = llsv(&y, n, &factors[n]);
         }
     }
     textbook_tucker(x, project(&factors, None), factors)
+}
+
+/// The `Q` of a column-pivoted QR by modified Gram–Schmidt in `f64`:
+/// each step takes the remaining column of largest residual norm,
+/// normalizes it, and projects it out of the others. Shares no code
+/// with `ratucker_linalg::qrcp` (Householder with downdated norms);
+/// both order `Q`'s columns by the same pivot rule, and the columns
+/// agree up to sign.
+pub fn qrcp_q_naive<T: Scalar>(z: &Matrix<T>) -> Matrix<T> {
+    let mut rest: Vec<Vec<f64>> = (0..z.cols())
+        .map(|j| z.col(j).iter().map(|v| v.to_f64()).collect())
+        .collect();
+    let sq = |c: &[f64]| c.iter().map(|v| v * v).sum::<f64>();
+    let mut q: Vec<Vec<f64>> = Vec::new();
+    while q.len() < z.rows() && !rest.is_empty() {
+        let best = (0..rest.len())
+            .max_by(|&a, &b| sq(&rest[a]).total_cmp(&sq(&rest[b])))
+            .expect("a column remains");
+        let mut v = rest.remove(best);
+        let norm = sq(&v).sqrt();
+        v.iter_mut().for_each(|e| *e /= norm);
+        for c in &mut rest {
+            let d: f64 = c.iter().zip(&v).map(|(a, b)| a * b).sum();
+            c.iter_mut().zip(&v).for_each(|(e, b)| *e -= d * b);
+        }
+        q.push(v);
+    }
+    Matrix::from_fn(z.rows(), q.len(), |i, j| T::from_f64(q[j][i]))
 }
 
 /// Squared Frobenius norm with `f64` accumulation.
@@ -310,6 +369,14 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn gram_schmidt_qrcp_matches_householder_qrcp_up_to_sign() {
+        let z = rand_matrix(9, 4, 121);
+        let want = ratucker_linalg::qrcp(&z).q;
+        let got = qrcp_q_naive(&z);
+        crate::check_factor_match(&got, &want, TOL_ORACLE).unwrap();
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //!
 //! 1. **cross-rank**: every rank's gathered result is *bitwise*
 //!    identical (the collectives are replicated-deterministic);
-//! 2. **distributed vs. textbook oracle** (STHOSVD and HOOI): relative
-//!    error within `TOL_DIST_REL_ERROR`, ranks equal, factor columns
-//!    within `TOL_DIST_FACTOR` up to sign, against
-//!    `ratucker_verify::{sthosvd_textbook, hooi_textbook}` — the
-//!    algorithms as printed, on naive TTMs and a Jacobi SVD of each
-//!    unfolding, sharing no code with the solvers;
+//! 2. **distributed vs. textbook oracle** (STHOSVD, HOOI and HOSI-DT):
+//!    relative error within `TOL_DIST_REL_ERROR`, ranks equal, factor
+//!    columns within `TOL_DIST_FACTOR` up to sign, against
+//!    `ratucker_verify::{sthosvd_textbook, hooi_textbook, hosi_textbook}`
+//!    — the algorithms as printed, on naive TTMs and a Jacobi SVD of
+//!    each unfolding (HOSI: one subspace-iteration step and a
+//!    Gram–Schmidt QRCP), sharing no code with the solvers;
 //! 3. **P > 1 vs. P = 1**: the same checks against the single-tensor
 //!    entry points (`sthosvd`, `ra_hooi`), which run the distributed
 //!    solver on one rank;
@@ -31,7 +32,7 @@ use ratucker_verify::tolerances::{
 };
 use ratucker_verify::{
     check_core_norm_identity, check_factor_match, check_monotone_fit, check_orthonormal,
-    hooi_textbook, sthosvd_textbook, TextbookTruncation,
+    hooi_textbook, hosi_textbook, sthosvd_textbook, TextbookTruncation, TextbookTucker,
 };
 
 struct Case {
@@ -217,16 +218,18 @@ fn sthosvd_conforms_to_the_sequential_oracle_on_every_grid() {
     }
 }
 
-#[test]
-fn hooi_conforms_to_the_textbook_oracle_on_every_grid() {
+/// A textbook fixed-rank solver: `(X, initial factors, sweeps)`.
+type FixedRankOracle = fn(&DenseTensor<f64>, &[Matrix<f64>], usize) -> TextbookTucker<f64>;
+
+/// Fixed-rank runs of `cfgs`, two sweeps from the same random factors,
+/// on every grid against `oracle` from those factors.
+fn assert_fixed_rank_conforms(cfgs: &[HooiConfig], oracle: FixedRankOracle) {
     for case in cases() {
         let x = SyntheticSpec::new(&case.dims, &case.ranks, 0.02, case.seed).build::<f64>();
         let seed = 3;
-        let oracle = hooi_textbook(&x, &random_init(&case.dims, &case.ranks, seed), 2);
-        // The Gram + EVD variants, direct and dimension-tree: both are
-        // Alg. 2's Gauss–Seidel sweep, from the same random factors.
-        for cfg in [HooiConfig::hooi(), HooiConfig::hooi_dt()] {
-            let cfg = cfg.with_seed(seed).with_max_iters(2);
+        let oracle = oracle(&x, &random_init(&case.dims, &case.ranks, seed), 2);
+        for cfg in cfgs {
+            let cfg = cfg.clone().with_seed(seed).with_max_iters(2);
             for grid_dims in &case.grids {
                 let p: usize = grid_dims.iter().product();
                 let ctx = format!(
@@ -253,6 +256,20 @@ fn hooi_conforms_to_the_textbook_oracle_on_every_grid() {
             }
         }
     }
+}
+
+#[test]
+fn hooi_conforms_to_the_textbook_oracle_on_every_grid() {
+    // The Gram + EVD variants, direct and dimension-tree: both are
+    // Alg. 2's Gauss–Seidel sweep.
+    assert_fixed_rank_conforms(&[HooiConfig::hooi(), HooiConfig::hooi_dt()], hooi_textbook);
+}
+
+#[test]
+fn hosi_dt_conforms_to_the_textbook_oracle_on_every_grid() {
+    // The subspace-iteration route: the distributed SI contraction and
+    // QRCP against Alg. 5 on naive TTMs and a Gram–Schmidt QRCP.
+    assert_fixed_rank_conforms(&[HooiConfig::hosi_dt()], hosi_textbook);
 }
 
 #[test]
