@@ -71,8 +71,9 @@ pub(crate) enum RaStep {
     /// The tolerance held: truncate core and factors to these ranks
     /// (eq. 3, floored).
     Truncate(Vec<usize>),
-    /// The tolerance held, but rounding left no leading subtensor that
-    /// meets it: keep the full decomposition.
+    /// The tolerance held, but no rank is cut: rounding left no leading
+    /// subtensor that meets it, or the floored eq.-(3) ranks are the
+    /// sweep's own. Keep the decomposition as it is.
     Keep,
     /// The tolerance missed: grow to these ranks (capped at the
     /// dimensions, so they may equal the current ranks).
@@ -220,7 +221,12 @@ impl RaConfig {
     ) -> RaStep {
         match (met, analysis) {
             (true, Some(a)) => {
-                RaStep::Truncate(a.iter().zip(floor).map(|(&r, &f)| r.max(f)).collect())
+                let cut: Vec<usize> = a.iter().zip(floor).map(|(&r, &f)| r.max(f)).collect();
+                if cut == ranks {
+                    RaStep::Keep
+                } else {
+                    RaStep::Truncate(cut)
+                }
             }
             (true, None) => RaStep::Keep,
             (false, _) if rung >= RUNG_FREEZE => RaStep::Freeze,
@@ -460,6 +466,40 @@ mod tests {
         let cfg = RaConfig::ra_hosi_dt(0.1, &[4, 4, 4]);
         let step = cfg.decide(true, None, &[4, 4, 4], &[9, 9, 9], &[1, 1, 1], 0);
         assert_eq!(step, RaStep::Keep);
+    }
+
+    #[test]
+    fn decision_keeps_when_the_analysis_returns_the_sweep_ranks() {
+        let cfg = RaConfig::ra_hosi_dt(0.1, &[4, 4, 4]);
+        let same = cfg.decide(
+            true,
+            Some(&[4, 3, 4]),
+            &[4, 3, 4],
+            &[9, 9, 9],
+            &[1, 1, 1],
+            0,
+        );
+        assert_eq!(same, RaStep::Keep);
+        // Ranks the floor lifts back to the sweep's cut nothing either.
+        let floored = cfg.decide(
+            true,
+            Some(&[1, 3, 2]),
+            &[2, 3, 2],
+            &[9, 9, 9],
+            &[2, 2, 2],
+            0,
+        );
+        assert_eq!(floored, RaStep::Keep);
+        // One cut mode is enough to truncate.
+        let one_cut = cfg.decide(
+            true,
+            Some(&[4, 2, 4]),
+            &[4, 3, 4],
+            &[9, 9, 9],
+            &[1, 1, 1],
+            0,
+        );
+        assert_eq!(one_cut, RaStep::Truncate(vec![4, 2, 4]));
     }
 
     #[test]
