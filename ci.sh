@@ -35,7 +35,7 @@ cargo test -q --offline --test conformance
 echo "==> kernel proptests (packed GEMM/SYRK vs naive oracles, 1 vs 4 workers bit-identical)"
 cargo test -q --offline --test proptest_kernels
 
-echo "==> narrow TTM and SYRK/Gram kernels (shape dispatch; bitwise equal to the ascending-k chain)"
+echo "==> narrow TTM, SYRK/Gram and EVD kernels (shape dispatch; bitwise equal to the ascending-k chain)"
 cargo test -q --offline -p ratucker-tensor --lib -- \
   kernels::tests::ttm_shapes_take_the_narrow_paths \
   kernels::tests::narrow_gemm_is_bitwise_the_canonical_chain \
@@ -44,6 +44,7 @@ cargo test -q --offline -p ratucker-tensor --lib -- \
   kernels::tests::results_are_bit_identical_across_worker_counts \
   gram::tests::streamed_gram_is_bitwise_the_per_slab_sum_on_every_mode \
   ttm::tests::ttm_right_range_is_bitwise_slice_of_full_ttm_above_pack_threshold
+cargo test -q --offline -p ratucker-linalg --lib evd::tests::tred2_is_bitwise_the_eispack_loop
 
 echo "==> 2-thread conformance smoke (intra-rank workers on; results must stay bit-identical; 60 s guard)"
 PAR_T0=$SECONDS
