@@ -264,16 +264,24 @@ fn tql2<T: Scalar>(z: &mut Matrix<T>, d: &mut [T], e: &mut [T]) -> Result<(), Ev
         e[i - 1] = e[i];
     }
     e[n - 1] = T::ZERO;
+    // Split when `|e[m]| ≤ ε·tst1`, `tst1` the largest `|d[l]| + |e[l]|`
+    // of the whole tridiagonal. `tred2` leaves a fast-decaying spectrum's
+    // round-off-level eigenvalues at the top, where QL isolates first. A
+    // scale local to the top (the neighbouring diagonal entries, or
+    // EISPACK's running maximum from `l = 0`) asks for relative accuracy
+    // there, which the implicit shift cannot give: it enters as
+    // `d[m] − shift` at the large end and is lost below `ε·|d[m]|`, so the
+    // sweeps stall until the budget runs out.
+    let tst1 = d
+        .iter()
+        .zip(e.iter())
+        .fold(T::ZERO, |t, (&dl, &el)| t.max_s(dl.abs() + el.abs()));
     for l in 0..n {
         let mut iter = 0;
         loop {
             // Look for a negligible subdiagonal element to split the matrix.
             let mut m = l;
-            while m + 1 < n {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= T::EPSILON * dd {
-                    break;
-                }
+            while m + 1 < n && e[m].abs() > T::EPSILON * tst1 {
                 m += 1;
             }
             if m == l {
@@ -373,7 +381,7 @@ mod tests {
         s
     }
 
-    fn check_evd(a: &Matrix<f64>, tol: f64) {
+    fn check_evd<T: Scalar>(a: &Matrix<T>, tol: f64) {
         let n = a.rows();
         let SymEvd { values, vectors } = sym_evd(a);
         // Orthonormal eigenvectors.
@@ -382,22 +390,21 @@ mod tests {
             "defect {}",
             vectors.orthonormality_defect()
         );
-        // A·v = λ·v for each pair.
+        // A·v = λ·v for each pair, evaluated in f64.
         for (j, &lambda) in values.iter().enumerate() {
-            let v = vectors.col(j);
+            let (lambda, v) = (lambda.to_f64(), vectors.col(j));
             for i in 0..n {
-                let av: f64 = (0..n).map(|k| a[(i, k)] * v[k]).sum();
+                let av: f64 = (0..n).map(|k| a[(i, k)].to_f64() * v[k].to_f64()).sum();
+                let lv = lambda * v[i].to_f64();
                 assert!(
-                    (av - lambda * v[i]).abs() < tol * (1.0 + lambda.abs()),
-                    "residual at ({i},{j}): {} vs {}",
-                    av,
-                    lambda * v[i]
+                    (av - lv).abs() < tol * (1.0 + lambda.abs()),
+                    "residual at ({i},{j}): {av} vs {lv}"
                 );
             }
         }
         // Descending order.
         for j in 1..n {
-            assert!(values[j - 1] >= values[j] - 1e-12);
+            assert!(values[j - 1].to_f64() >= values[j].to_f64() - 1e-12);
         }
     }
 
@@ -541,8 +548,8 @@ mod tests {
         assert_bitwise(z.as_slice(), z_ref.as_slice(), &format!("{what} z"));
         assert_bitwise(&d, &d_ref, &format!("{what} d"));
         assert_bitwise(&e, &e_ref, &format!("{what} e"));
-        // Equal inputs to `tql2` fail alike: QL's local deflation test
-        // can exhaust its budget on a cluster of eigenvalues near 0.
+        // Equal inputs to `tql2` fail alike, should QL run out its
+        // sweep budget.
         match (try_sym_evd(&a), eigenpairs(z_ref, d_ref, e_ref)) {
             (Ok(got), Ok(want)) => {
                 assert_bitwise(&got.values, &want.values, &format!("{what} values"));
@@ -564,6 +571,21 @@ mod tests {
                 check_tred2_against_oracle::<f32>(&a, &format!("f32 n={n} {kind}"));
             }
         }
+    }
+
+    #[test]
+    fn ql_converges_on_a_fast_decaying_spectrum() {
+        // The 0.8ᵏ input of `oracle_inputs`: its eigenvalues fall to
+        // round-off well before the end of the spectrum, as in the Gram
+        // of a smooth field.
+        let decaying = |n: usize| {
+            let (kind, a) = oracle_inputs(n, 40 + n as u64).pop().unwrap();
+            assert_eq!(kind, "decaying spectrum");
+            a
+        };
+        let a = decaying(128);
+        check_evd(&Matrix::from_fn(128, 128, |i, j| a[(i, j)] as f32), 1e-5);
+        check_evd(&decaying(200), 1e-9);
     }
 
     #[test]
