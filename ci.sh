@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, build, full test suite, chaos smoke.
-# Everything runs offline against the vendored dependency stubs.
+# CI gate: formatting, lints, build, full test suite, then the
+# kernel, verify, chaos, serve and trace smokes. Everything runs offline
+# against the vendored dependency stubs. Speed is not gated here: the
+# repository benchmark is perfbench (BENCHMARK.json, perfbench/README.md).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -35,7 +37,7 @@ cargo test -q --offline --test conformance
 echo "==> kernel proptests (packed GEMM/SYRK vs naive oracles, 1 vs 4 workers bit-identical)"
 cargo test -q --offline --test proptest_kernels
 
-echo "==> narrow TTM, SYRK/Gram and EVD kernels (shape dispatch; bitwise equal to the ascending-k chain)"
+echo "==> narrow TTM, SYRK/Gram and EVD kernels (shape dispatch; bitwise equal to the ascending-k chain; QL converges on decaying spectra)"
 cargo test -q --offline -p ratucker-tensor --lib -- \
   kernels::tests::ttm_shapes_take_the_narrow_paths \
   kernels::tests::narrow_gemm_is_bitwise_the_canonical_chain \
@@ -44,7 +46,9 @@ cargo test -q --offline -p ratucker-tensor --lib -- \
   kernels::tests::results_are_bit_identical_across_worker_counts \
   gram::tests::streamed_gram_is_bitwise_the_per_slab_sum_on_every_mode \
   ttm::tests::ttm_right_range_is_bitwise_slice_of_full_ttm_above_pack_threshold
-cargo test -q --offline -p ratucker-linalg --lib evd::tests::tred2_is_bitwise_the_eispack_loop
+cargo test -q --offline -p ratucker-linalg --lib -- \
+  evd::tests::tred2_is_bitwise_the_eispack_loop \
+  evd::tests::ql_converges_on_a_fast_decaying_spectrum
 
 echo "==> 2-thread conformance smoke (intra-rank workers on; results must stay bit-identical; 60 s guard)"
 PAR_T0=$SECONDS
@@ -127,32 +131,6 @@ if grep -q '^err' target/ci-served.log || ! grep -q 'partition_ok=true' target/c
   echo "served stdio smoke failed (see target/ci-served.log)" >&2
   exit 1
 fi
-
-echo "==> bench JSON reports (criterion stub -> BENCH_*.json)"
-# Absolute paths: cargo runs bench binaries from the package dir.
-# Benches are a soft gate: warn (don't fail CI) if a report is missing,
-# but always refresh the stable repo-root copies when one is produced.
-BENCH_JSON="$PWD/target/BENCH_kernels.json" \
-  cargo bench -q --offline -p ratucker-bench --bench kernels ||
-  echo "warning: kernels bench did not run cleanly" >&2
-BENCH_JSON="$PWD/target/BENCH_tucker.json" \
-  cargo bench -q --offline -p ratucker-bench --bench tucker_algorithms ||
-  echo "warning: tucker_algorithms bench did not run cleanly" >&2
-# Diff fresh reports against the committed baselines before refreshing
-# them: each run prints the per-benchmark trajectory and soft-warns on
-# >25% regressions (never fails CI — bench noise must not gate merges).
-cargo run -q --release --offline -p ratucker-bench --bin benchdiff -- \
-  BENCH_kernels.json target/BENCH_kernels.json \
-  BENCH_tucker.json target/BENCH_tucker.json ||
-  echo "warning: benchdiff did not run cleanly" >&2
-for b in kernels tucker; do
-  if [ -s "target/BENCH_${b}.json" ]; then
-    cp "target/BENCH_${b}.json" "BENCH_${b}.json"
-  else
-    echo "warning: bench report target/BENCH_${b}.json missing or empty (benches skipped?);" \
-      "repo-root BENCH_${b}.json not refreshed" >&2
-  fi
-done
 
 echo "==> trace smoke (span pipeline round-trip + perf-model validation)"
 cargo run -q --release --offline -p ratucker-bench --bin tracecheck target/ci-trace.json
