@@ -61,9 +61,11 @@ if [ "$PAR_ELAPSED" -ge 60 ]; then
   exit 1
 fi
 
-echo "==> overlap smoke (slab counts bitwise invisible, collective fold order, mid-pipeline drain; 60 s guard)"
+echo "==> overlap smoke (slab counts and ladder rung bitwise invisible, collective fold order, mid-pipeline drain; 60 s guard)"
 OVL_T0=$SECONDS
-cargo test -q --offline -p ratucker-dist --lib -- slab_count_is_bitwise_invisible
+cargo test -q --offline -p ratucker-dist --lib -- \
+  slab_count_is_bitwise_invisible \
+  rung_one_ttm_is_bitwise_rung_zero_on_every_fiber
 cargo test -q --offline -p ratucker-mpi --lib -- \
   collectives_match_their_documented_sequential_fold_bitwise \
   stray_message_before_allreduce_is_a_size_mismatch
@@ -100,11 +102,13 @@ if [ "$GRAY_ELAPSED" -ge 60 ]; then
   exit 1
 fi
 
-echo "==> memory-pressure smoke (degradation ladder + checkpoint-floor fallback; 60 s guard)"
+echo "==> memory-pressure smoke (degradation ladder + checkpoint-floor fallback + rung-1 TTM staging; 60 s guard)"
 MEM_T0=$SECONDS
 cargo test -q --offline --test chaos -- --test-threads=1 \
   mid_sweep_budget_shrink_engages_ladder_and_converges \
   budget_below_checkpoint_floor_falls_back_cleanly
+cargo test -q --offline --test mem_band -- \
+  rung_one_ttm_hwm_is_bounded_by_its_estimate_and_below_rung_zero
 MEM_ELAPSED=$((SECONDS - MEM_T0))
 if [ "$MEM_ELAPSED" -ge 60 ]; then
   echo "memory-pressure smoke took ${MEM_ELAPSED}s (>= 60s): a budget-recovery path is stalling" >&2

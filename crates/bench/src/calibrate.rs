@@ -6,29 +6,33 @@ use ratucker_perfmodel::Machine;
 use ratucker_tensor::matrix::Matrix;
 use std::time::Instant;
 
-/// Measures the effective GEMM rate (flops/s) of the workspace kernels.
+/// The fastest of five timed runs of `f`, after one untimed warm-up,
+/// in seconds: one call is about a millisecond, so a single or mean
+/// timing is at the mercy of the scheduler.
+fn fastest_of_five(mut f: impl FnMut()) -> f64 {
+    f();
+    (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Measures the effective GEMM rate (flops/s) of the workspace kernels
+/// on a 192² f32 product.
 pub fn measure_gemm_rate() -> f64 {
     let n = 192;
     let a = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 7) as f32).sin());
     let b = Matrix::from_fn(n, n, |i, j| ((i + j * 13) as f32).cos());
-    // Warm up.
-    let _ = a.matmul(&b);
-    let reps = 5;
-    let t0 = Instant::now();
-    let mut sink = 0.0f32;
-    for _ in 0..reps {
-        let c = a.matmul(&b);
-        sink += c[(0, 0)];
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    std::hint::black_box(sink);
-    (reps as f64) * 2.0 * (n as f64).powi(3) / secs
+    let secs = fastest_of_five(|| {
+        std::hint::black_box(a.matmul(&b)[(0, 0)]);
+    });
+    2.0 * (n as f64).powi(3) / secs
 }
 
-/// Measures the sequential symmetric-EVD rate (flops/s, counting 4n³)
-/// from the fastest of five timed calls after a warm-up: one call is
-/// about a millisecond, so a single timing is at the mercy of the
-/// scheduler.
+/// Measures the sequential symmetric-EVD rate (flops/s, counting 4n³).
 pub fn measure_evd_rate() -> f64 {
     let n = 128;
     let a = Matrix::from_fn(n, n, |i, j| {
@@ -36,15 +40,9 @@ pub fn measure_evd_rate() -> f64 {
         let w = ((j * 13 + i * 29) as f64).sin();
         0.5 * (v + w) + if i == j { 2.0 } else { 0.0 }
     });
-    let _ = ratucker_linalg::sym_evd(&a);
-    let secs = (0..5)
-        .map(|_| {
-            let t0 = Instant::now();
-            let e = ratucker_linalg::sym_evd(&a);
-            std::hint::black_box(e.values[0]);
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min);
+    let secs = fastest_of_five(|| {
+        std::hint::black_box(ratucker_linalg::sym_evd(&a).values[0]);
+    });
     4.0 * (n as f64).powi(3) / secs
 }
 

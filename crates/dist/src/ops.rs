@@ -21,11 +21,11 @@ use crate::distribution::block_range;
 use crate::dtensor::DistTensor;
 use ratucker_mem::{self as mem, MemPhase};
 use ratucker_mpi::{sum_op, CartGrid, Comm, CommError, Request};
-use ratucker_tensor::dense::{append_block, DenseTensor};
+use ratucker_tensor::dense::{append_block, copy_block, DenseTensor};
 use ratucker_tensor::kernels::all_finite;
 use ratucker_tensor::matrix::Matrix;
 use ratucker_tensor::scalar::Scalar;
-use ratucker_tensor::ttm::{ttm, Transpose};
+use ratucker_tensor::ttm::{slab_grid, ttm, ttm_right_range, Transpose};
 
 /// Converts a ledger refusal into the typed comm error, revoking the
 /// communicator first: peers blocked in the collective this rank is
@@ -168,7 +168,7 @@ pub fn try_dist_ttm<T: Scalar>(
     m: &Matrix<T>,
     trans: Transpose,
 ) -> Result<DistTensor<T>, CommError> {
-    ttm_impl(grid, x, mode, m, trans, AbftMode::Off, TTM_SLABS)
+    ttm_impl(grid, x, mode, m, trans, AbftMode::Off, None)
 }
 
 /// Checksum-augmented variant of [`try_dist_ttm`]: when `abft` is
@@ -184,12 +184,13 @@ pub fn try_dist_ttm_checked<T: Scalar>(
     trans: Transpose,
     abft: AbftMode,
 ) -> Result<DistTensor<T>, CommError> {
-    ttm_impl(grid, x, mode, m, trans, abft, TTM_SLABS)
+    ttm_impl(grid, x, mode, m, trans, abft, None)
 }
 
 /// The distributed TTM behind [`try_dist_ttm`] and
-/// [`try_dist_ttm_checked`], with the rung-0 slab count capped at
-/// `max_slabs` (tests pin it; the public kernels pass [`TTM_SLABS`]).
+/// [`try_dist_ttm_checked`]. `slabs` overrides the slab count the
+/// degradation rung would pick (tests pin it; the public kernels pass
+/// `None`).
 pub(crate) fn ttm_impl<T: Scalar>(
     grid: &CartGrid,
     x: &DistTensor<T>,
@@ -197,7 +198,7 @@ pub(crate) fn ttm_impl<T: Scalar>(
     m: &Matrix<T>,
     trans: Transpose,
     abft: AbftMode,
-    max_slabs: usize,
+    slabs: Option<usize>,
 ) -> Result<DistTensor<T>, CommError> {
     let _span = ratucker_obs::span_mode(&grid.comm, "TTM", mode);
     let _mem = mem::with_phase(MemPhase::Ttm);
@@ -241,18 +242,22 @@ pub(crate) fn ttm_impl<T: Scalar>(
         "operand inner dimension must match the global mode extent"
     );
 
-    // Preflight the partial product's footprint before allocating it:
-    // under a budget, a rank that cannot even hold the local multiply
-    // output fails typed (and revokes) rather than aborting on OOM.
     let left = x.local().shape().left(mode);
     let right = x.local().shape().right(mode);
-    mem::ensure_headroom(mem::bytes_of::<T>(left * out_dim * right))
-        .map_err(|e| budget_error(&grid.comm, e))?;
-
     let out_dist = x.dist().with_dim(mode, out_dim);
     let coords = x.coords().to_vec();
     let fiber = grid.mode_comm(mode);
     let p_j = fiber.size();
+    // Degradation rung ≥ 1 charges the reduction slab by slab. Otherwise
+    // preflight the whole partial product's footprint before allocating
+    // it: under a budget, a rank that cannot even hold the local
+    // multiply output fails typed (and revokes) rather than aborting on
+    // OOM.
+    let per_slab = p_j > 1 && mem::rung() >= 1;
+    if !per_slab {
+        mem::ensure_headroom(mem::bytes_of::<T>(left * out_dim * right))
+            .map_err(|e| budget_error(&grid.comm, e))?;
+    }
     if p_j == 1 {
         // Local partial product: full `out_dim` in the contracted mode.
         let partial = ttm(x.local(), mode, &m_sub, trans);
@@ -266,11 +271,14 @@ pub(crate) fn ttm_impl<T: Scalar>(
         p_j,
         abft: abft.is_enabled(),
     };
-    let (my_block, mut local_rel) = if mem::rung() >= 1 {
-        ttm_reduce_per_chunk(grid, fiber, x, mode, &m_sub, trans, &shape)?
+    let n_slabs = slabs.unwrap_or(if per_slab {
+        DEGRADED_TTM_SLABS_PER_RANK * p_j
     } else {
-        ttm_slabbed(grid, fiber, x, mode, &m_sub, trans, &shape, max_slabs)?
-    };
+        right.min(TTM_SLABS)
+    });
+    let (my_block, mut local_rel) = ttm_slabbed(
+        grid, fiber, x, mode, &m_sub, trans, &shape, n_slabs, per_slab,
+    )?;
     if abft.is_enabled() {
         // Fold the non-finite screen into the checksum error (NaN/Inf ⇒
         // infinite relative error) and agree on a grid-wide verdict so
@@ -305,18 +313,25 @@ struct TtmShape {
 }
 
 impl TtmShape {
-    /// Appends fiber rank `q`'s chunk of a partial product covering
-    /// `cols` right-slabs (`[left, out_dim, cols]`) to `dst`, in
-    /// `[left, block, cols]` layout, followed by the chunk's linear
-    /// total when checked. The total is summed elementwise across the
-    /// fiber along with the data, so at the owner the last slot holds
-    /// the expected total of the reduced chunk.
-    fn pack_chunk<T: Scalar>(&self, dst: &mut Vec<T>, partial: &[T], cols: usize, q: usize) {
+    /// Appends fiber rank `q`'s chunk of a slab's partial product
+    /// (`[rows, out_dim, cols]`) to `dst`, in `[rows, block, cols]`
+    /// layout, followed by the chunk's linear total when checked. The
+    /// total is summed elementwise across the fiber along with the
+    /// data, so at the owner the last slot holds the expected total of
+    /// the reduced chunk.
+    fn pack_chunk<T: Scalar>(
+        &self,
+        dst: &mut Vec<T>,
+        partial: &[T],
+        rows: usize,
+        cols: usize,
+        q: usize,
+    ) {
         let r_q = block_range(self.out_dim, self.p_j, q);
         let start = dst.len();
         for r in 0..cols {
-            let src = (r * self.out_dim + r_q.offset) * self.left;
-            dst.extend_from_slice(&partial[src..src + r_q.len * self.left]);
+            let src = (r * self.out_dim + r_q.offset) * rows;
+            dst.extend_from_slice(&partial[src..src + r_q.len * rows]);
         }
         if self.abft {
             let cs = T::from_f64(sum_f64(&dst[start..]));
@@ -324,9 +339,9 @@ impl TtmShape {
         }
     }
 
-    /// Entries in fiber rank `q`'s packed chunk over `cols` right-slabs.
-    fn chunk_len(&self, q: usize, cols: usize) -> usize {
-        self.left * block_range(self.out_dim, self.p_j, q).len * cols + usize::from(self.abft)
+    /// Entries in fiber rank `q`'s packed chunk of a `rows × cols` slab.
+    fn chunk_len(&self, q: usize, rows: usize, cols: usize) -> usize {
+        rows * block_range(self.out_dim, self.p_j, q).len * cols + usize::from(self.abft)
     }
 }
 
@@ -375,22 +390,36 @@ fn pop_sentinel<T: Scalar>(
 /// GEMM stays well above kernel overheads.
 const TTM_SLABS: usize = 2;
 
-/// The rung-0 distributed TTM (DESIGN.md §17): the local partial
-/// product is computed and reduce-scattered in `n = min(right,
-/// max_slabs)` right-slabs, slab `s`'s reduce-scatter in flight while
-/// slab `s+1`'s GEMM and packing run. At most one collective is in
-/// flight per fiber (the links are tagless FIFOs): slab `s−1` is waited
-/// before slab `s` posts. Returns this rank's reduced block and its
-/// ABFT relative checksum error (the max over slabs).
+/// Slabs per fiber rank of the distributed TTM at degradation rung ≥ 1
+/// (DESIGN.md §17): `2·P_j` slabs, two of them charged at a time, hold
+/// about `2/P_j` of the partial product against rung 0's twice the
+/// whole of it. `perfmodel::memory` projects the same count.
+const DEGRADED_TTM_SLABS_PER_RANK: usize = 2;
+
+/// The distributed TTM's one slab loop (DESIGN.md §17): the local
+/// partial product is computed and reduce-scattered in about `n_slabs`
+/// blocks, cut along the right extent first and along the left extent
+/// when `right` is smaller ([`slab_grid`]), slab `s`'s reduce-scatter in
+/// flight while slab `s+1`'s GEMM and packing run. At most one
+/// collective is in flight per fiber (the links are tagless FIFOs): slab
+/// `s−1` is waited before slab `s` posts. Returns this rank's reduced
+/// block and its ABFT relative checksum error (the max over slabs).
 ///
-/// The result is bitwise independent of the slab count: a right-slab
-/// of the local block is contiguous, `ttm_right_range` is bit-equal to
-/// the matching run of the full GEMM (§16 kernel contract), the
-/// reduce-scatter's combine order is fixed by rank arithmetic alone,
-/// and slabs are appended in ascending order, which is the
-/// `[left, block, right]` layout. With one slab the wire carries
-/// exactly one reduce-scatter of the whole packed partial, no
-/// sentinel.
+/// Ledger: with `per_slab` (degradation rung ≥ 1) each slab charges
+/// its own partial product and packed copy (`2·slab + p_j` entries)
+/// until its reduce-scatter is absorbed, so at most two slabs are
+/// charged at once. Otherwise the whole partial product and its packed
+/// copy (`2·partial + p_j`) are charged up front at any slab count: the
+/// footprint the §14 admission estimate and the degradation ladder
+/// assume at rung 0.
+///
+/// The result is bitwise independent of the slab count:
+/// `ttm_right_range` is bit-equal to the matching block of the full
+/// GEMM (§16 kernel contract), the reduce-scatter's combine order is
+/// elementwise and fixed by rank arithmetic alone, and each reduced
+/// piece is copied to its place in the `[left, block, right]` layout.
+/// With one slab the wire carries exactly one reduce-scatter of the
+/// whole packed partial, no sentinel, and its result is the block.
 #[allow(clippy::too_many_arguments)]
 fn ttm_slabbed<T: Scalar>(
     grid: &CartGrid,
@@ -400,7 +429,8 @@ fn ttm_slabbed<T: Scalar>(
     m_sub: &Matrix<T>,
     trans: Transpose,
     shape: &TtmShape,
-    max_slabs: usize,
+    n_slabs: usize,
+    per_slab: bool,
 ) -> Result<(Vec<T>, f64), CommError> {
     let &TtmShape {
         left,
@@ -409,8 +439,16 @@ fn ttm_slabbed<T: Scalar>(
         p_j,
         abft,
     } = shape;
-    let n_slabs = right.min(max_slabs).max(1);
-    let tagged = n_slabs > 1;
+    let (n_left, n_right) = slab_grid(left, right, n_slabs);
+    let n = n_left * n_right;
+    let slab = |s: usize| {
+        (
+            block_range(left, n_left, s % n_left),
+            block_range(right, n_right, s / n_left),
+        )
+    };
+    let tagged = n > 1;
+    let block = block_range(out_dim, p_j, fiber.rank()).len;
     let mut out: Vec<T> = Vec::new();
     let mut rel = 0.0f64;
     let mut absorb = |req: Request<Vec<T>>, s: usize| -> Result<(), CommError> {
@@ -434,85 +472,73 @@ fn ttm_slabbed<T: Scalar>(
         if abft {
             rel = rel.max(pop_checksum_error(&mut blk));
         }
-        if s == 0 {
+        if n == 1 {
             out = blk;
-        } else {
-            out.extend_from_slice(&blk);
+            return Ok(());
         }
+        // Slab `s`'s reduced piece is the `[rows, block, cols]` block at
+        // its row and slab offsets in the `[left, block, right]` layout.
+        let (lr, rr) = slab(s);
+        let piece = [lr.len, block, rr.len];
+        out.resize(left * block * right, T::ZERO);
+        let at = [lr.offset, 0, rr.offset];
+        copy_block(
+            &blk,
+            &piece,
+            &[0; 3],
+            &mut out,
+            &[left, block, right],
+            &at,
+            &piece,
+        );
         Ok(())
     };
 
-    // Ledger: the whole partial product plus its packed copy
-    // (`2·partial + p_j` entries) at any slab count — the footprint the
-    // §14 admission estimate and the degradation ladder assume, so the
-    // slab count never changes when a budget bites.
-    let _stage = mem::Charge::try_new(mem::bytes_of::<T>(2 * left * out_dim * right + p_j))
-        .map_err(|e| budget_error(&grid.comm, e))?;
-    let mut pending: Option<Request<Vec<T>>> = None;
-    for s in 0..n_slabs {
-        let rr = block_range(right, n_slabs, s);
-        let partial = ratucker_tensor::ttm_right_range(
+    let charge = |entries: usize| {
+        mem::Charge::try_new(mem::bytes_of::<T>(2 * entries + p_j))
+            .map_err(|e| budget_error(&grid.comm, e))
+    };
+    let _whole = if per_slab {
+        mem::Charge::none()
+    } else {
+        charge(left * out_dim * right)?
+    };
+    let mut pending: Option<(Request<Vec<T>>, mem::Charge)> = None;
+    for s in 0..n {
+        let (lr, rr) = slab(s);
+        let stage = if per_slab {
+            charge(lr.len * out_dim * rr.len)?
+        } else {
+            mem::Charge::none()
+        };
+        let partial = ttm_right_range(
             x.local(),
             mode,
             m_sub,
             trans,
+            lr.offset..lr.offset + lr.len,
             rr.offset..rr.offset + rr.len,
         );
         // Owned per-destination blocks, moved into the fabric: no
         // contiguous staging buffer.
         let blocks: Vec<Vec<T>> = (0..p_j)
             .map(|q| {
-                let mut chunk = Vec::with_capacity(shape.chunk_len(q, rr.len) + 1);
-                shape.pack_chunk(&mut chunk, &partial, rr.len, q);
+                let mut chunk = Vec::with_capacity(shape.chunk_len(q, lr.len, rr.len) + 1);
+                shape.pack_chunk(&mut chunk, &partial, lr.len, rr.len, q);
                 if tagged {
                     chunk.push(T::from_f64((s + 1) as f64));
                 }
                 chunk
             })
             .collect();
-        if let Some(req) = pending.take() {
+        if let Some((req, _held)) = pending.take() {
             absorb(req, s - 1)?;
         }
-        pending = Some(fiber.ireduce_scatter_blocks(blocks, sum_op));
+        pending = Some((fiber.ireduce_scatter_blocks(blocks, sum_op), stage));
     }
-    absorb(pending.expect("at least one slab"), n_slabs - 1)?;
+    let (req, _held) = pending.expect("at least one slab");
+    absorb(req, n - 1)?;
     Ok((out, rel))
-}
-
-/// The degradation-rung ≥ 1 distributed TTM: one reduction per fiber
-/// rank's chunk instead of one reduce-scatter. Peak staging drops from
-/// the full packed partial (≈ the local block size) to a single `1/P_j`
-/// chunk, at the cost of `P_j` collectives. Every fiber member iterates
-/// the roots in the same order, so the pattern is as deterministic as
-/// the reduce-scatter it replaces. Returns this rank's reduced block and
-/// its ABFT relative checksum error.
-fn ttm_reduce_per_chunk<T: Scalar>(
-    grid: &CartGrid,
-    fiber: &Comm,
-    x: &DistTensor<T>,
-    mode: usize,
-    m_sub: &Matrix<T>,
-    trans: Transpose,
-    shape: &TtmShape,
-) -> Result<(Vec<T>, f64), CommError> {
-    let partial = ttm(x.local(), mode, m_sub, trans);
-    let mut mine: Option<Vec<T>> = None;
-    for q in 0..shape.p_j {
-        let mut chunk = mem::TrackedBuf::try_with_capacity(shape.chunk_len(q, shape.right))
-            .map_err(|e| budget_error(&grid.comm, e))?;
-        shape.pack_chunk(&mut chunk, partial.data(), shape.right, q);
-        let reduced = fiber.try_reduce(q, chunk.into_vec(), sum_op)?;
-        if fiber.rank() == q {
-            mine = reduced;
-        }
-    }
-    let mut blk = mine.expect("fiber rank received its reduced chunk");
-    let rel = if shape.abft {
-        pop_checksum_error(&mut blk)
-    } else {
-        0.0
-    };
-    Ok((blk, rel))
 }
 
 /// Fallible distributed multi-TTM with every factor transposed, skipping
@@ -732,9 +758,10 @@ fn gram_impl<T: Scalar>(
 const SI_SLABS: usize = 2;
 
 /// Slab-sequence sentinel base of the SI contraction, kept distinct
-/// from the TTM's `s + 1` tags so the two kernels' slabs can never
-/// masquerade as each other.
-const SI_TAG_BASE: usize = 16;
+/// from the TTM's `s + 1` tags (fewer than `4·P_j` slabs at any rung)
+/// so the two kernels' slabs can never masquerade as each other. Every
+/// `P · tag` stays below 2²⁴, exact in `f32`, for `P` up to 4095.
+const SI_TAG_BASE: usize = 1 << 12;
 
 /// Fallible distributed all-but-one contraction (the new §3.4 kernel):
 /// `Z = Y_(mode) G_(mode)ᵀ` with `core` the *replicated* current core
@@ -1194,56 +1221,106 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// One rank's bits of the rung-0 TTM at 1, 2 and 3 right-slabs (ABFT
-    /// off, then `Detect`) and of the SI contraction at 1 and 2 column
-    /// slabs, on a d-way problem whose mode 1 spans the whole grid.
-    fn slab_variants(c: Comm, d: usize, seed: u64) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+    /// A d-way problem whose mode `mode`, of extent 12, spans the whole
+    /// grid, and a 12 × 8 TTM operand.
+    fn spanning_problem(
+        c: Comm,
+        d: usize,
+        mode: usize,
+        seed: u64,
+    ) -> (CartGrid, DistTensor<f64>, Matrix<f64>) {
         let p = c.size();
-        let dims: Vec<usize> = if d == 3 {
-            vec![8, 12, 10]
+        let mut dims: Vec<usize> = if d == 3 {
+            vec![8, 10, 10]
         } else {
-            vec![6, 12, 5, 4]
+            vec![6, 5, 5, 4]
         };
+        dims[mode] = 12;
         let mut grid_dims = vec![1; d];
-        grid_dims[1] = p;
+        grid_dims[mode] = p;
         let grid = CartGrid::new(c, &grid_dims);
-        let value = |idx: &[usize]| global_value(idx) + seed as f64 * 1e-3;
-        let x = DistTensor::from_fn(&grid, Shape::new(&dims), value);
+        let x = DistTensor::from_fn(&grid, Shape::new(&dims), |idx| {
+            global_value(idx) + seed as f64 * 1e-3
+        });
         let m = Matrix::from_fn(12, 8, |i, j| {
             (((i * 8 + j) as f64) * 0.37 + seed as f64).sin()
         });
+        (grid, x, m)
+    }
+
+    /// One rank's bits of the rung-0 TTM at 1, 2 and 3 slabs (ABFT off,
+    /// then `Detect`) and of the SI contraction at 1 and 2 column slabs,
+    /// along a mode spanning the whole grid. The middle mode cuts only
+    /// right-slabs; the last mode (`right = 1`) cuts left-slabs.
+    fn slab_variants(c: Comm, d: usize, mode: usize, seed: u64) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+        let (grid, x, m) = spanning_problem(c, d, mode, seed);
         let mut ttms = Vec::new();
         for abft in [AbftMode::Off, AbftMode::Detect] {
             for n_slabs in 1..=3 {
-                let y = ttm_impl(&grid, &x, 1, &m, Transpose::Yes, abft, n_slabs).unwrap();
+                let y = ttm_impl(&grid, &x, mode, &m, Transpose::Yes, abft, Some(n_slabs)).unwrap();
                 ttms.push(bits_of(y.local().data()));
             }
         }
-        let mut core_dims = dims.clone();
-        core_dims[1] = 3;
-        let core = DenseTensor::from_fn(Shape::new(&core_dims), |idx| value(idx).cos());
+        let mut core_dims = x.global_shape().dims().to_vec();
+        core_dims[mode] = 3;
+        let core = DenseTensor::from_fn(Shape::new(&core_dims), |idx| {
+            (global_value(idx) + seed as f64 * 1e-3).cos()
+        });
         let si = (1..=2)
-            .map(|n| bits_of(contract_impl(&grid, &x, &core, 1, n).unwrap().as_slice()))
+            .map(|n| bits_of(contract_impl(&grid, &x, &core, mode, n).unwrap().as_slice()))
             .collect();
         (ttms, si)
+    }
+
+    /// Degradation rung 1 runs the same slab loop as rung 0 at more
+    /// slabs, so it is bitwise rung 0 on fibers of every size, with the
+    /// distributed mode in the middle (right-slabs) and last
+    /// (left-slabs), ABFT off and `Detect`.
+    #[test]
+    fn rung_one_ttm_is_bitwise_rung_zero_on_every_fiber() {
+        for d in [3usize, 4] {
+            for mode in [1, d - 1] {
+                for p in [2usize, 3, 4, 8] {
+                    let out = Universe::launch(p, move |c| {
+                        let (grid, x, m) = spanning_problem(c, d, mode, 7);
+                        [AbftMode::Off, AbftMode::Detect].map(|abft| {
+                            [0u8, 1].map(|rung| {
+                                mem::set_rung(rung);
+                                let y =
+                                    try_dist_ttm_checked(&grid, &x, mode, &m, Transpose::Yes, abft)
+                                        .unwrap();
+                                bits_of(y.local().data())
+                            })
+                        })
+                    });
+                    for (rank, runs) in out.iter().enumerate() {
+                        for [rung0, rung1] in runs {
+                            assert_eq!(rung1, rung0, "rank {rank} d={d} mode={mode} P_j={p}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
 
         /// The slab count never shows in the results: every TTM variant
-        /// and both SI variants are bitwise equal, for d ∈ {3, 4} and
-        /// P ∈ {2, 4, 8}.
+        /// and both SI variants are bitwise equal, for d ∈ {3, 4},
+        /// P ∈ {2, 4, 8} and the middle and last modes distributed.
         #[test]
         fn slab_count_is_bitwise_invisible(seed in 0u64..1_000) {
             for d in [3usize, 4] {
-                for p in [2usize, 4, 8] {
-                    let out = Universe::launch(p, move |c| slab_variants(c, d, seed));
-                    for (rank, (ttms, si)) in out.iter().enumerate() {
-                        for (k, t) in ttms.iter().enumerate() {
-                            prop_assert_eq!(t, &ttms[0], "TTM variant {} rank {} d={} P={}", k, rank, d, p);
+                for mode in [1, d - 1] {
+                    for p in [2usize, 4, 8] {
+                        let out = Universe::launch(p, move |c| slab_variants(c, d, mode, seed));
+                        for (rank, (ttms, si)) in out.iter().enumerate() {
+                            for (k, t) in ttms.iter().enumerate() {
+                                prop_assert_eq!(t, &ttms[0], "TTM variant {} rank {} d={} P={}", k, rank, d, p);
+                            }
+                            prop_assert_eq!(&si[1], &si[0], "SI slabs rank {} d={} P={}", rank, d, p);
                         }
-                        prop_assert_eq!(&si[1], &si[0], "SI slabs rank {} d={} P={}", rank, d, p);
                     }
                 }
             }

@@ -5,9 +5,9 @@
 //! replicas, the replicated factor matrices, the gathered core, and the
 //! TTM/Gram staging slabs. This module turns those shapes into a
 //! per-rank **peak estimate in bytes**, evaluated per rung of the
-//! graceful-degradation ladder (rung 1 chunks the TTM slab, rung 2
-//! streams the Gram assembly — see `ratucker::recover`), and an
-//! **admission** decision: given a `--mem-budget`, either the run is
+//! graceful-degradation ladder (rung 1 reduces the TTM in `2·P_j`
+//! slabs, rung 2 streams the Gram assembly — see `ratucker::recover`),
+//! and an **admission** decision: given a `--mem-budget`, either the run is
 //! admitted at the cheapest rung whose projected peak fits, or it is
 //! rejected up front with the shortfall — *before* any rank allocates a
 //! byte or a collective is posted.
@@ -19,6 +19,8 @@
 //! by term. The validation test in `tests/mem_band.rs` pins the band:
 //! the margin-adjusted prediction must bound the measured ledger
 //! high-water mark from above without exceeding `BAND` times it.
+
+use ratucker_tensor::slab_grid;
 
 /// The shape of a distributed run, as the memory model sees it.
 #[derive(Clone, Debug)]
@@ -97,11 +99,14 @@ pub fn estimate_peak(prob: &MemProblem, rung: u8) -> MemEstimate {
     let factors: u64 = (0..d).map(|j| (prob.dims[j] * prob.ranks[j]) as u64).sum();
     let core: u64 = (0..d).map(|j| prob.ranks[j] as u64).product();
 
-    // Per-mode TTM slab: the packed partial result spans local_left ×
+    // Per-mode TTM staging. The partial product spans local_left ×
     // r_j × local_right entries (the output mode is global width before
-    // the reduce-scatter). Rung 1 reduces one destination block at a
-    // time, bounding the slab by its largest 1/p_j chunk — the reduced
-    // block this rank keeps is another chunk of the same size.
+    // the reduce-scatter); rung 0 holds it and the reduced block. At
+    // rung ≥ 1 a split mode reduces it in the dist TTM's 2·p_j slabs,
+    // cut by `slab_grid`: each charges its partial product and packed
+    // copy (2·slab + p_j entries) while in flight, two are in flight at
+    // once, and the operand's local_n_j × r_j row slice lives beside
+    // them.
     let mut ttm_staging = 0u64;
     // Per-mode Gram staging: the unfolding columns of the fully
     // contracted-by-others tensor, C_j = Π_{k≠j} r_k of them, staged
@@ -112,8 +117,12 @@ pub fn estimate_peak(prob: &MemProblem, rung: u8) -> MemEstimate {
         let lines = prob.block_entries() / prob.local_dim(j) as u64;
         let slab = lines * prob.ranks[j] as u64;
         let pj = prob.grid[j] as u64;
-        let ttm = if rung >= 1 {
-            2 * slab.div_ceil(pj)
+        let ttm = if rung >= 1 && pj > 1 {
+            let left: usize = (0..j).map(|k| prob.local_dim(k)).product();
+            let right: usize = (j + 1..d).map(|k| prob.local_dim(k)).product();
+            let (n_left, n_right) = slab_grid(left, right, 2 * prob.grid[j]);
+            let largest = (left.div_ceil(n_left) * right.div_ceil(n_right) * prob.ranks[j]) as u64;
+            (prob.local_dim(j) * prob.ranks[j]) as u64 + 2 * (2 * largest + pj)
         } else {
             slab + slab.div_ceil(pj)
         };
@@ -224,7 +233,7 @@ mod tests {
         assert!(e0.peak() >= e1.peak() && e1.peak() >= e2.peak());
         assert!(
             e0.ttm_staging > e1.ttm_staging,
-            "rung 1 chunks the TTM slab: {} vs {}",
+            "rung 1 reduces the TTM in slabs: {} vs {}",
             e0.ttm_staging,
             e1.ttm_staging
         );

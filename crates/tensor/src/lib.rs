@@ -50,7 +50,7 @@ pub use matrix::Matrix;
 pub use prefix::{leading_norm_sq, prefix_squared_sums};
 pub use scalar::Scalar;
 pub use shape::Shape;
-pub use ttm::{multi_ttm, multi_ttm_all_but, ttm, ttm_right_range, Transpose};
+pub use ttm::{multi_ttm, multi_ttm_all_but, slab_grid, ttm, ttm_right_range, Transpose};
 pub use unfold::{fold, unfold};
 
 /// Common imports.

@@ -47,30 +47,36 @@ pub fn ttm<T: Scalar>(
         Transpose::No => m.rows(),
         Transpose::Yes => m.cols(),
     };
-    let data = ttm_right_range(x, mode, m, trans, 0..x.shape().right(mode));
-    DenseTensor::from_vec(x.shape().with_dim(mode, p), data)
+    let shape = x.shape();
+    let data = ttm_right_range(x, mode, m, trans, 0..shape.left(mode), 0..shape.right(mode));
+    DenseTensor::from_vec(shape.with_dim(mode, p), data)
 }
 
-/// Computes the output slabs `range` selects from `Y = X ×_mode op(M)`
-/// without materializing the input slab, returned as their packed
-/// contiguous run of `left × p × range.len()` entries (for mode 0, the
-/// column range `range` of the natural `p × (N/n_0)` output view).
+/// Computes the block of `Y = X ×_mode op(M)` that the left-index range
+/// `rows` and the output-slab range `range` select, without
+/// materializing the input slab. It is returned packed as
+/// `[rows.len(), p, range.len()]`: `range.len()` slabs of `rows.len() ×
+/// p` (for mode 0, whose left extent is 1, the column range `range` of
+/// the natural `p × (N/n_0)` output view).
 ///
-/// Any range is bit-identical to the matching entries of the full
+/// Any block is bit-identical to the matching entries of the full
 /// product: for `mode > 0` each output slab is one independent GEMM
-/// (split across the worker pool by whole slabs when there are enough),
-/// and for `mode == 0` the restriction is a column range of the single
-/// natural GEMM, whose per-column results are independent of the column
-/// partition (the §16 kernel contract).
+/// (split across the worker pool by whole slabs when there are enough)
+/// and `rows` restricts it to a row range of its `left × n_mode`
+/// operand, and for `mode == 0` the restriction is a column range of
+/// the single natural GEMM. Each output entry is the same ascending-k
+/// chain whatever the row or column partition (the §16 kernel
+/// contract).
 ///
 /// # Panics
-/// Panics on an inner dimension mismatch, or if `range` exceeds the
-/// right extent (`N/n_0` for mode 0).
+/// Panics on an inner dimension mismatch, or if `rows` exceeds the left
+/// extent or `range` the right extent (`N/n_0` for mode 0).
 pub fn ttm_right_range<T: Scalar>(
     x: &DenseTensor<T>,
     mode: usize,
     m: &Matrix<T>,
     trans: Transpose,
+    rows: std::ops::Range<usize>,
     range: std::ops::Range<usize>,
 ) -> Vec<T> {
     let n_j = x.dim(mode);
@@ -82,11 +88,16 @@ pub fn ttm_right_range<T: Scalar>(
         inner, n_j,
         "TTM inner dimension mismatch in mode {mode}: op(M) is ?x{inner}, n_mode={n_j}"
     );
+    let left = x.shape().left(mode);
+    assert!(rows.end <= left, "left range {rows:?} exceeds {left}");
     let cols = range.len();
 
     if mode == 0 {
         let rest = x.num_entries() / n_j;
         assert!(range.end <= rest, "right range {range:?} exceeds {rest}");
+        if rows.is_empty() {
+            return Vec::new();
+        }
         let a = &x.data()[range.start * n_j..range.end * n_j];
         let mut y = vec![T::ZERO; p * cols];
         match trans {
@@ -96,16 +107,18 @@ pub fn ttm_right_range<T: Scalar>(
         return y;
     }
 
-    let left = x.shape().left(mode);
     let right = x.shape().right(mode);
     assert!(range.end <= right, "right range {range:?} exceeds {right}");
+    let h = rows.len();
     let x_slab = left * n_j;
-    let y_slab = left * p;
+    let y_slab = h * p;
     let bt = trans == Transpose::No;
     let ldb = if bt { p } else { n_j };
     let mut y = vec![T::ZERO; y_slab * cols];
+    // Slab `r`'s operand rows `rows`: a `h × n_j` view with stride `left`.
+    let operand = |r: usize| &x.data()[r * x_slab + rows.start..(r + 1) * x_slab];
 
-    let total_fl = 2 * (left as u64) * (p as u64) * (n_j as u64) * (cols as u64);
+    let total_fl = 2 * (h as u64) * (p as u64) * (n_j as u64) * (cols as u64);
     let nt = crate::par::num_threads();
     if nt > 1 && cols >= nt && total_fl >= crate::par::PAR_MIN_FLOPS {
         // Enough slabs to feed every worker: split the slab batch
@@ -115,30 +128,37 @@ pub fn ttm_right_range<T: Scalar>(
         // flop formula for the whole batch is charged on the calling
         // rank thread, matching the accounting convention in `flops`.
         crate::flops::add(total_fl);
-        let xdata = x.data();
         let mslice = m.as_slice();
         let ranges = crate::par::partition(cols, nt);
         let start = range.start;
         let parts = crate::par::split_columns(&mut y, y_slab, &ranges);
         crate::par::for_each_part(parts, |_, (slabs, ysub)| {
             for (off, c) in ysub.chunks_exact_mut(y_slab).enumerate() {
-                let r = start + slabs.start + off;
-                let a = &xdata[r * x_slab..(r + 1) * x_slab];
-                kernels::gemm_serial(left, p, n_j, a, left, false, mslice, ldb, bt, c, left);
+                let a = operand(start + slabs.start + off);
+                kernels::gemm_serial(h, p, n_j, a, left, false, mslice, ldb, bt, c, h);
             }
         });
         return y;
     }
 
     for (off, r) in range.enumerate() {
-        let a = &x.data()[r * x_slab..(r + 1) * x_slab];
+        let a = operand(r);
         let c = &mut y[off * y_slab..(off + 1) * y_slab];
         match trans {
-            Transpose::No => kernels::gemm_nt(left, p, n_j, a, left, m.as_slice(), p, c, left),
-            Transpose::Yes => kernels::gemm_nn(left, p, n_j, a, left, m.as_slice(), n_j, c, left),
+            Transpose::No => kernels::gemm_nt(h, p, n_j, a, left, m.as_slice(), p, c, h),
+            Transpose::Yes => kernels::gemm_nn(h, p, n_j, a, left, m.as_slice(), n_j, c, h),
         }
     }
     y
+}
+
+/// Cuts a TTM's `left × right` grid of output rows and slabs into
+/// about `n` blocks for [`ttm_right_range`]: along the right extent
+/// first, and along the left extent only when `right` is smaller than
+/// `n`. Returns the `(left, right)` block counts, each at least 1.
+pub fn slab_grid(left: usize, right: usize, n: usize) -> (usize, usize) {
+    let n_right = right.min(n).max(1);
+    (left.min(n.div_ceil(n_right)).max(1), n_right)
 }
 
 /// Applies a sequence of TTMs in the given order.
@@ -212,17 +232,26 @@ mod tests {
         })
     }
 
-    /// Checks that `ttm_right_range` at each split in `splits(right)` is
-    /// the exact bit pattern of the matching run of the full output, for
-    /// every mode, both transposes and each output width in `ps`.
+    /// Checks that `ttm_right_range` at each split in `splits(right)`,
+    /// crossed with each left split in `row_splits(left)` for modes > 0,
+    /// is the exact bit pattern of the matching block of the full
+    /// output, for every mode, both transposes and each output width in
+    /// `ps`.
     fn assert_ranges_slice_full_ttm(
         dims: &[usize],
         ps: &[usize],
         splits: impl Fn(usize) -> Vec<usize>,
+        row_splits: impl Fn(usize) -> Vec<usize>,
     ) {
         let x = test_tensor(dims);
         for mode in 0..dims.len() {
             let n_j = x.dim(mode);
+            let left = x.shape().left(mode);
+            let row_cuts = if mode == 0 {
+                vec![left]
+            } else {
+                row_splits(left)
+            };
             for &p in ps {
                 for trans in [Transpose::No, Transpose::Yes] {
                     let op = match trans {
@@ -234,19 +263,34 @@ mod tests {
                         }
                     };
                     let full = ttm(&x, mode, &op, trans);
-                    let left = x.shape().left(mode);
                     let right = full.num_entries() / (left * p);
-                    let y_slab = left * p;
                     for split in splits(right) {
-                        for (range, base) in [(0..split, 0usize), (split..right, split * y_slab)] {
-                            let cols = range.len();
-                            let part = ttm_right_range(&x, mode, &op, trans, range);
-                            let want = &full.data()[base..base + cols * y_slab];
-                            assert_eq!(
-                                part.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                                "mode {mode} p {p} {trans:?} split {split}"
-                            );
+                        for cut in &row_cuts {
+                            for range in [0..split, split..right] {
+                                for rows in [0..*cut, *cut..left] {
+                                    let part = ttm_right_range(
+                                        &x,
+                                        mode,
+                                        &op,
+                                        trans,
+                                        rows.clone(),
+                                        range.clone(),
+                                    );
+                                    let want: Vec<u64> = range
+                                        .clone()
+                                        .flat_map(|r| (0..p).map(move |i| (r * p + i) * left))
+                                        .flat_map(|base| {
+                                            full.data()[base + rows.start..base + rows.end].iter()
+                                        })
+                                        .map(|v| v.to_bits())
+                                        .collect();
+                                    assert_eq!(
+                                        part.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                        want,
+                                        "mode {mode} p {p} {trans:?} split {split} rows {rows:?}"
+                                    );
+                                }
+                            }
                         }
                     }
                 }
@@ -256,7 +300,12 @@ mod tests {
 
     #[test]
     fn ttm_right_range_is_bitwise_slice_of_full_ttm() {
-        assert_ranges_slice_full_ttm(&[4, 3, 5, 2], &[2], |right| (0..=right).collect());
+        assert_ranges_slice_full_ttm(
+            &[4, 3, 5, 2],
+            &[2],
+            |right| (0..=right).collect(),
+            |left| (0..=left).collect(),
+        );
     }
 
     #[test]
@@ -265,14 +314,22 @@ mod tests {
         // selects: the narrow ones for p ≤ 16 (`Transpose::Yes`), the
         // packed one for p = 17 and for `Transpose::No`. Every split for
         // modes 1 and 2; mode 0's 384 output columns are split at every
-        // 37th column and next to the ends.
-        assert_ranges_slice_full_ttm(&[32, 24, 16], &[1, 7, 16, 17], |right| {
-            let mut s: Vec<usize> = (0..=right)
-                .step_by(if right > 100 { 37 } else { 1 })
-                .collect();
-            s.extend([1, right - 1, right]);
-            s
-        });
+        // 37th column and next to the ends. Modes 1 and 2 also cut their
+        // left extent (32 and 768 rows) next to the ends, where the thin
+        // row slab falls below the pack threshold onto the small path,
+        // and at an odd interior row that splits the row tiles.
+        assert_ranges_slice_full_ttm(
+            &[32, 24, 16],
+            &[1, 7, 16, 17],
+            |right| {
+                let mut s: Vec<usize> = (0..=right)
+                    .step_by(if right > 100 { 37 } else { 1 })
+                    .collect();
+                s.extend([1, right - 1, right]);
+                s
+            },
+            |left| vec![0, 1, left / 2 + 3, left - 1],
+        );
     }
 
     #[test]

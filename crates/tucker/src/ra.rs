@@ -32,11 +32,12 @@ use ratucker_tensor::scalar::Scalar;
 /// Highest rung of the graceful-degradation ladder that still makes
 /// forward progress. The rungs (see `DESIGN.md` §14):
 ///
-/// * **0** — normal operation: monolithic TTM reduce-scatter, one-shot
-///   Gram assembly.
-/// * **1** — chunked TTM: the packed slab is reduced one destination
-///   block at a time, bounding the staging buffer by the largest single
-///   block instead of the whole slab.
+/// * **0** — normal operation: the TTM reduce-scatter in at most two
+///   right-slabs, charged up front; one-shot Gram assembly.
+/// * **1** — slabbed TTM: the same slab loop as rung 0 at about `2·P_j`
+///   slabs, each charging only its own partial product and packed copy
+///   while in flight, so two slabs' worth is held instead of twice the
+///   whole partial product. Results are bitwise rung 0's.
 /// * **2** — streamed Gram: the unfolding columns are assembled and
 ///   accumulated into the Gram matrix in batches instead of one
 ///   full-width scratch matrix.

@@ -46,9 +46,9 @@
 //! tentpole):
 //! 14. a mid-sweep per-rank budget shrink at P = 8 trips a typed
 //!     `BudgetExceeded`, the collectively-agreed degradation ladder
-//!     steps to rung 1 (chunked TTM reduction), and the run completes
-//!     on the full grid bit-identical to fault-free — memory pressure
-//!     costs footprint, never accuracy;
+//!     steps to rung 1 (the TTM reduced in `2·P_j` slabs), and the run
+//!     completes on the full grid bit-identical to fault-free — memory
+//!     pressure costs footprint, never accuracy;
 //! 15. a budget below what even the cheapest rung needs exhausts the
 //!     ladder: every rank reports a clean `FallbackToCheckpoint` (no
 //!     rank dead, reason naming the memory budget), and the disk
@@ -981,7 +981,7 @@ fn mid_sweep_budget_shrink_engages_ladder_and_converges() {
     // the sweep (far from the sweep-commit boundary), which keeps the
     // recovery deterministic: the refused allocation revokes the data
     // plane, every rank agrees rung 1 on the ctrl plane, and the sweep
-    // retries with chunked TTM reductions that fit.
+    // retries with slab-by-slab TTM reductions that fit.
     let plan = FaultPlan::quiet(67).with_mem_pressure(3, 60, 28_800);
     let u = Universe::with_fault_plan(8, plan);
     u.set_recv_timeout(Duration::from_secs(5));
@@ -1010,8 +1010,8 @@ fn mid_sweep_budget_shrink_engages_ladder_and_converges() {
                 );
                 assert_eq!(final_grid, &[2, 2, 2], "no rank may be evicted");
                 // Degraded execution changes the working set, not the
-                // answer: the P_j = 2 fibers make the chunked reduction
-                // order-identical, so the result is bit-equal.
+                // answer: rung 1 runs rung 0's slab loop at more slabs,
+                // with the same combine order, so the result is bit-equal.
                 assert_eq!(
                     rel_error.to_bits(),
                     ref_err.to_bits(),

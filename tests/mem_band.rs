@@ -7,9 +7,12 @@
 //! above once the admission margin is applied, without being more than
 //! `BAND` times the largest measured mark — a model that over-predicts
 //! by 10x would admit nothing, one that under-predicts would admit runs
-//! the ledger then kills.
+//! the ledger then kills. The degraded distributed TTM's staging term is
+//! pinned on its own: it must bound the measured mark and sit below
+//! rung 0's.
 
-use ra_hooi::dist::DistTensor;
+use ra_hooi::dist::{try_dist_ttm, DistTensor};
+use ra_hooi::mem::MemPhase;
 use ra_hooi::mpi::{CartGrid, Universe};
 use ra_hooi::perfmodel::{estimate_peak, MemProblem, ADMISSION_MARGIN};
 use ra_hooi::prelude::*;
@@ -73,4 +76,50 @@ fn perfmodel_peak_bounds_measured_hwm_within_band() {
         "the prediction is uselessly loose: predicted {pred} B > \
          {BAND} x measured {hwm_max} B"
     );
+}
+
+/// Each rank's `MemPhase::Ttm` high-water mark over one distributed
+/// TTM at degradation rung `rung`: mode 2 of an 8×12×10 f64 tensor,
+/// split in two along that mode (`right = 1`, so rung 1 cuts
+/// left-slabs), times a 10 × 4 factor.
+fn one_ttm_hwm(rung: u8) -> Vec<u64> {
+    Universe::launch(2, move |c| {
+        let grid = CartGrid::new(c, &[1, 1, 2]);
+        let x = DistTensor::from_fn(&grid, Shape::new(&[8, 12, 10]), |idx| {
+            (idx[0] + 3 * idx[1] + 7 * idx[2]) as f64 * 0.01
+        });
+        let u = Matrix::from_fn(10, 4, |i, j| ((i + 2 * j) as f64).sin());
+        ra_hooi::mem::set_rung(rung);
+        ra_hooi::mem::reset_hwm();
+        try_dist_ttm(&grid, &x, 2, &u, Transpose::Yes).unwrap();
+        ra_hooi::mem::stats().hwm_by_phase[MemPhase::Ttm.index()]
+    })
+}
+
+#[test]
+fn rung_one_ttm_hwm_is_bounded_by_its_estimate_and_below_rung_zero() {
+    let rung0 = one_ttm_hwm(0);
+    let rung1 = one_ttm_hwm(1);
+    // Only mode 2's TTM runs: ranks of 1 elsewhere keep the other
+    // modes' staging terms below it.
+    let prob = MemProblem {
+        dims: vec![8, 12, 10],
+        grid: vec![1, 1, 2],
+        ranks: vec![1, 1, 4],
+        buddy_degree: 0,
+        abft: false,
+        elem_bytes: 8,
+    };
+    let est = estimate_peak(&prob, 1).ttm_staging;
+    println!("TTM hwm per rank: rung 0 {rung0:?}, rung 1 {rung1:?}; rung-1 estimate {est}");
+    for (rank, (&h0, &h1)) in rung0.iter().zip(&rung1).enumerate() {
+        assert!(
+            h1 <= est,
+            "rank {rank}: rung-1 TTM high-water {h1} B exceeds its estimate {est} B"
+        );
+        assert!(
+            h1 < h0,
+            "rank {rank}: rung 1 must shed TTM staging: {h1} B vs rung 0's {h0} B"
+        );
+    }
 }
