@@ -37,7 +37,7 @@ cargo test -q --offline --test conformance
 echo "==> kernel proptests (packed GEMM/SYRK vs naive oracles, 1 vs 4 workers bit-identical)"
 cargo test -q --offline --test proptest_kernels
 
-echo "==> narrow TTM, SYRK/Gram and EVD kernels (shape dispatch; bitwise equal to the ascending-k chain; QL converges on decaying spectra)"
+echo "==> narrow TTM, SYRK/Gram, SI contraction and EVD kernels (shape dispatch; bitwise equal to the ascending-k chain; QL converges on decaying spectra)"
 cargo test -q --offline -p ratucker-tensor --lib -- \
   kernels::tests::ttm_shapes_take_the_narrow_paths \
   kernels::tests::narrow_gemm_is_bitwise_the_canonical_chain \
@@ -45,6 +45,8 @@ cargo test -q --offline -p ratucker-tensor --lib -- \
   kernels::tests::syrk_nt_k_batched_accumulation_is_bit_identical \
   kernels::tests::results_are_bit_identical_across_worker_counts \
   gram::tests::streamed_gram_is_bitwise_the_per_slab_sum_on_every_mode \
+  contract::tests::contract_shapes_take_the_streamed_path \
+  contract::tests::streamed_contraction_is_bitwise_the_per_slab_sum_on_every_mode \
   ttm::tests::ttm_right_range_is_bitwise_slice_of_full_ttm_above_pack_threshold
 cargo test -q --offline -p ratucker-linalg --lib -- \
   evd::tests::tred2_is_bitwise_the_eispack_loop \
@@ -61,11 +63,12 @@ if [ "$PAR_ELAPSED" -ge 60 ]; then
   exit 1
 fi
 
-echo "==> overlap smoke (slab counts and ladder rung bitwise invisible, collective fold order, mid-pipeline drain; 60 s guard)"
+echo "==> overlap smoke (slab counts, ladder rung and SI core block bitwise invisible, collective fold order, mid-pipeline drain; 60 s guard)"
 OVL_T0=$SECONDS
 cargo test -q --offline -p ratucker-dist --lib -- \
   slab_count_is_bitwise_invisible \
-  rung_one_ttm_is_bitwise_rung_zero_on_every_fiber
+  rung_one_ttm_is_bitwise_rung_zero_on_every_fiber \
+  si_contraction_on_the_fiber_block_is_bitwise_the_replicated_core_path
 cargo test -q --offline -p ratucker-mpi --lib -- \
   collectives_match_their_documented_sequential_fold_bitwise \
   stray_message_before_allreduce_is_a_size_mismatch

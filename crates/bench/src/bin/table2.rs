@@ -115,5 +115,6 @@ fn main() {
     println!("- HOOI-DT's TTM traffic depends only on P_1 and P_d (reduce-scatters");
     println!("  on the two root branches); direct HOOI pays (d-1)x the P_1 term.");
     println!("- HOSI variants replace the n² Gram allreduces with n·r iterate");
-    println!("  reductions plus an r^d core gather.");
+    println!("  reductions plus, per split mode j, a fiber gather of the core");
+    println!("  (r^d/P·(P_j-1) words).");
 }

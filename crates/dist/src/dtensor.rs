@@ -6,7 +6,7 @@
 //! [`CartGrid`] explicitly; every rank of the grid must call them together.
 
 use crate::distribution::TensorDist;
-use ratucker_mpi::{CartGrid, CommError};
+use ratucker_mpi::{CartGrid, Comm, CommError};
 use ratucker_tensor::dense::{append_block, copy_block, DenseTensor};
 use ratucker_tensor::scalar::Scalar;
 use ratucker_tensor::shape::Shape;
@@ -109,34 +109,61 @@ impl<T: Scalar> DistTensor<T> {
     /// Collective; cost `O(N)` words per rank — used for the (small) core
     /// tensor in the rank-adaptive core analysis and in tests.
     pub fn try_gather_replicated(&self, grid: &CartGrid) -> Result<DenseTensor<T>, CommError> {
-        let payload = self.local.data().to_vec();
-        let blocks = grid.comm.try_allgatherv(payload)?;
-        let global = self.dist.global();
-        let mut out = DenseTensor::zeros(global.clone());
+        let origin = vec![0; self.coords.len()];
+        let coords_of = |rank| CartGrid::rank_to_coords(rank, grid.dims());
+        self.try_gather_box(&grid.comm, coords_of, &origin, self.dist.global().dims())
+    }
+
+    /// Assembles this rank's block widened to all of `mode`, on every
+    /// rank of the mode's fiber (allgather along `grid.mode_comm(mode)`).
+    /// Collective over the fiber; cost `(local size)·(P_mode − 1)` words
+    /// per rank.
+    pub(crate) fn try_gather_fiber(
+        &self,
+        grid: &CartGrid,
+        mode: usize,
+    ) -> Result<DenseTensor<T>, CommError> {
+        let (mut origin, mut dims) = self.dist.block_of(&self.coords);
+        origin[mode] = 0;
+        dims[mode] = self.dist.global().dim(mode);
+        let coords_of = |q| {
+            let mut c = self.coords.clone();
+            c[mode] = q;
+            c
+        };
+        self.try_gather_box(grid.mode_comm(mode), coords_of, &origin, &dims)
+    }
+
+    /// Allgathers the blocks of `comm`'s ranks (rank `q` sits at grid
+    /// coordinates `coords_of(q)`) into the box of the global tensor at
+    /// `origin` with extents `dims`, which those blocks tile.
+    fn try_gather_box(
+        &self,
+        comm: &Comm,
+        coords_of: impl Fn(usize) -> Vec<usize>,
+        origin: &[usize],
+        dims: &[usize],
+    ) -> Result<DenseTensor<T>, CommError> {
+        let blocks = comm.try_allgatherv(self.local.data().to_vec())?;
+        let mut out = DenseTensor::zeros(Shape::new(dims));
+        let zeros = vec![0; dims.len()];
         for (rank, block) in blocks.into_iter().enumerate() {
-            let coords = CartGrid::rank_to_coords(rank, grid.dims());
-            let (offsets, lens) = self.dist.block_of(&coords);
+            let (mut offsets, lens) = self.dist.block_of(&coords_of(rank));
             let expected: usize = lens.iter().product();
             if block.len() != expected {
                 // Channel desync from a dropped message: typed and
                 // failure-class rather than an untyped panic.
                 return Err(CommError::SizeMismatch {
-                    src: grid.comm.world_rank_of(rank),
-                    dst: grid.comm.world_rank_of(grid.comm.rank()),
+                    src: comm.world_rank_of(rank),
+                    dst: comm.world_rank_of(comm.rank()),
                     expected,
                     got: block.len(),
                 });
             }
-            let zeros = vec![0; lens.len()];
-            copy_block(
-                &block,
-                &lens,
-                &zeros,
-                out.data_mut(),
-                global.dims(),
-                &offsets,
-                &lens,
-            );
+            for (o, base) in offsets.iter_mut().zip(origin) {
+                *o -= base;
+            }
+            copy_block(&block, &lens, &zeros, out.data_mut(), dims, &offsets, &lens);
         }
         Ok(out)
     }

@@ -12,10 +12,15 @@
 //! - **Gram** ([`try_dist_gram`]): *all-to-all* along the fiber to a 1D column
 //!   layout (cost `(local size)·(P_j − 1)/P_j`), local rank-k update, then
 //!   an allreduce of the `n_j × n_j` result — the Table 2 LLSV terms.
-//! - **Contraction** ([`try_dist_contract`]): fully local against the matching
-//!   block of the replicated core, then sum-reduction + broadcast of the
+//! - **Contraction** ([`try_dist_contract_fiber`]): local against this
+//!   rank's own block of the distributed core `G = Y ×_j Uᵀ`, widened to
+//!   all of mode `j` by an allgather along the mode's fiber when `P_j > 1`
+//!   (cost `r^d/P·(P_j − 1)`, the same as the TTM that made `G`); no rank
+//!   holds the whole core. Then sum-reduction + broadcast of the
 //!   `n_j × r_j` iterate so every rank can run the QR redundantly — §3.4's
 //!   "sum reduction followed by a broadcast … local QR decompositions".
+//!   [`try_dist_contract`] takes a replicated core instead and cuts the
+//!   same block out of it.
 
 use crate::distribution::block_range;
 use crate::dtensor::DistTensor;
@@ -25,7 +30,9 @@ use ratucker_tensor::dense::{append_block, copy_block, DenseTensor};
 use ratucker_tensor::kernels::all_finite;
 use ratucker_tensor::matrix::Matrix;
 use ratucker_tensor::scalar::Scalar;
+use ratucker_tensor::shape::Shape;
 use ratucker_tensor::ttm::{slab_grid, ttm, ttm_right_range, Transpose};
+use std::borrow::Cow;
 
 /// Converts a ledger refusal into the typed comm error, revoking the
 /// communicator first: peers blocked in the collective this rank is
@@ -765,29 +772,90 @@ const SI_TAG_BASE: usize = 1 << 12;
 
 /// Fallible distributed all-but-one contraction (the new §3.4 kernel):
 /// `Z = Y_(mode) G_(mode)ᵀ` with `core` the *replicated* current core
-/// tensor. Returns the replicated `n_mode × r_mode` iterate. Collective.
-///
-/// At degradation rung 0 with `P > 1` and `r_mode ≥ 2` the iterate is
-/// built in [`SI_SLABS`] column slabs, one allreduce in flight behind the
-/// next slab's local contraction; otherwise in one.
+/// tensor. Cuts this rank's block out of `core` (its own ranges of the
+/// other modes, all of `mode`) and runs the same contraction as
+/// [`try_dist_contract_fiber`], bit for bit. Returns the replicated
+/// `n_mode × r_mode` iterate. Collective.
 pub fn try_dist_contract<T: Scalar>(
     grid: &CartGrid,
     y: &DistTensor<T>,
     core: &DenseTensor<T>,
     mode: usize,
 ) -> Result<Matrix<T>, CommError> {
-    let slabbed = mem::rung() == 0 && grid.comm.size() > 1 && core.dim(mode) >= 2;
-    contract_impl(grid, y, core, mode, if slabbed { SI_SLABS } else { 1 })
+    let d = y.global_shape().order();
+    assert_eq!(core.order(), d);
+    for k in (0..d).filter(|&k| k != mode) {
+        assert_eq!(
+            y.global_shape().dim(k),
+            core.dim(k),
+            "core/global dim mismatch in mode {k}"
+        );
+    }
+    let (mut offsets, mut lens) = y.dist().block_of(y.coords());
+    offsets[mode] = 0;
+    lens[mode] = core.dim(mode);
+    let mut data = Vec::new();
+    append_block(core.data(), core.shape().dims(), &offsets, &lens, &mut data);
+    let block = DenseTensor::from_vec(Shape::new(&lens), data);
+    contract_impl(grid, y, &block, mode, si_slabs(grid, lens[mode]))
 }
 
-/// The contraction behind [`try_dist_contract`] in `n_slabs` column
-/// slabs of the iterate (capped at `r_mode`). Each column's binomial
-/// combine is elementwise and fixed by rank arithmetic alone, so the
-/// result is bitwise independent of the slab count; ascending-slab
-/// concatenation of a column-major matrix is the one-slab layout
-/// verbatim. With more than one slab each payload carries a sequence
-/// sentinel; a mismatch revokes the communicator (no verdict round
-/// exists here) and surfaces as [`CommError::Corrupted`].
+/// Fallible distributed all-but-one contraction against the
+/// *distributed* core `core = Y ×_mode Uᵀ`, laid out like `y` with
+/// `r_mode` in place of `n_mode`: no rank holds the whole core. When
+/// `mode` is not split (`P_mode = 1`) this rank's core block already
+/// spans all of `mode` and is used as it is; otherwise the blocks are
+/// allgathered along the mode's fiber, `r^d/P · (P_mode − 1)` words per
+/// rank, under their own `SI` span. Returns the replicated
+/// `n_mode × r_mode` iterate. Collective.
+pub fn try_dist_contract_fiber<T: Scalar>(
+    grid: &CartGrid,
+    y: &DistTensor<T>,
+    core: &DistTensor<T>,
+    mode: usize,
+) -> Result<Matrix<T>, CommError> {
+    let block = core_fiber_block(grid, core, mode)?;
+    contract_impl(grid, y, &block, mode, si_slabs(grid, block.dim(mode)))
+}
+
+/// This rank's block of the distributed `core` widened to all of
+/// `mode`: borrowed when the mode is not split, else the fiber's
+/// allgather.
+fn core_fiber_block<'a, T: Scalar>(
+    grid: &CartGrid,
+    core: &'a DistTensor<T>,
+    mode: usize,
+) -> Result<Cow<'a, DenseTensor<T>>, CommError> {
+    if grid.mode_comm(mode).size() == 1 {
+        return Ok(Cow::Borrowed(core.local()));
+    }
+    let _span = ratucker_obs::span_mode(&grid.comm, "SI", mode);
+    core.try_gather_fiber(grid, mode).map(Cow::Owned)
+}
+
+/// Column-slab count of the SI contraction: [`SI_SLABS`] at degradation
+/// rung 0 with `P > 1` and `r_mode ≥ 2`, otherwise one.
+fn si_slabs(grid: &CartGrid, r_mode: usize) -> usize {
+    if mem::rung() == 0 && grid.comm.size() > 1 && r_mode >= 2 {
+        SI_SLABS
+    } else {
+        1
+    }
+}
+
+/// The contraction behind [`try_dist_contract`] and
+/// [`try_dist_contract_fiber`], against `core`, this rank's core block
+/// over all of `mode` (its other extents are `y`'s local ones), in
+/// `n_slabs` column slabs of the iterate (capped at `r_mode`). Each
+/// slab contracts `y`'s local block against the slab's columns of
+/// `core` and embeds the result at this rank's rows for the
+/// sum-reduce + broadcast. Each column's binomial combine is
+/// elementwise and fixed by rank arithmetic alone, so the result is
+/// bitwise independent of the slab count; ascending-slab concatenation
+/// of a column-major matrix is the one-slab layout verbatim. With more
+/// than one slab each payload carries a sequence sentinel; a mismatch
+/// revokes the communicator (no verdict round exists here) and
+/// surfaces as [`CommError::Corrupted`].
 pub(crate) fn contract_impl<T: Scalar>(
     grid: &CartGrid,
     y: &DistTensor<T>,
@@ -796,35 +864,22 @@ pub(crate) fn contract_impl<T: Scalar>(
     n_slabs: usize,
 ) -> Result<Matrix<T>, CommError> {
     let _span = ratucker_obs::span_mode(&grid.comm, "SI", mode);
-    let d = y.global_shape().order();
-    assert_eq!(core.order(), d);
     let n_j = y.global_shape().dim(mode);
     let r_j = core.dim(mode);
-    for k in 0..d {
-        if k != mode {
-            assert_eq!(
-                y.global_shape().dim(k),
-                core.dim(k),
-                "core/global dim mismatch in mode {k}"
-            );
-        }
-    }
-
-    // The core block matching this rank's non-mode ranges; each slab
-    // below narrows its mode-`mode` range. A column slab of the iterate
-    // only needs the matching mode-slab of the core.
-    let (core_offsets, core_lens) = y.dist().block_of(y.coords());
     let my_rows = y.dist().range(mode, grid.coord(mode));
     let make_slab = |cr: crate::distribution::BlockRange| {
-        let (mut offsets, mut lens) = (core_offsets.clone(), core_lens.clone());
-        offsets[mode] = cr.offset;
-        lens[mode] = cr.len;
-        let mut data = Vec::new();
-        append_block(core.data(), core.shape().dims(), &offsets, &lens, &mut data);
-        let g_s = DenseTensor::from_vec(ratucker_tensor::shape::Shape::new(&lens), data);
-        // Local contraction covers my row block and the slab's columns;
-        // embed at my row offset for the sum-reduce + broadcast.
-        let z_s = ratucker_tensor::contract::contract_all_but(y.local(), &g_s, mode);
+        let z_s = if cr.len == r_j {
+            ratucker_tensor::contract::contract_all_but(y.local(), core, mode)
+        } else {
+            let mut offsets = vec![0; core.order()];
+            let mut lens = core.shape().dims().to_vec();
+            offsets[mode] = cr.offset;
+            lens[mode] = cr.len;
+            let mut data = Vec::new();
+            append_block(core.data(), core.shape().dims(), &offsets, &lens, &mut data);
+            let g_s = DenseTensor::from_vec(Shape::new(&lens), data);
+            ratucker_tensor::contract::contract_all_but(y.local(), &g_s, mode)
+        };
         let mut z_full = Matrix::zeros(n_j, cr.len);
         for c in 0..cr.len {
             z_full.col_mut(c)[my_rows.offset..my_rows.offset + my_rows.len]
@@ -875,7 +930,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use ratucker_mpi::Universe;
-    use ratucker_tensor::shape::Shape;
 
     fn global_value(idx: &[usize]) -> f64 {
         idx.iter()
@@ -1219,6 +1273,93 @@ mod tests {
 
     fn bits_of(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The replicated-core contraction the SI step ran before it used
+    /// each rank's own core block: every slab's block cut from the
+    /// gathered core at this rank's global offsets, contracted, embedded
+    /// at this rank's rows and allreduced, the slabs concatenated.
+    fn replicated_core_contraction(
+        grid: &CartGrid,
+        y: &DistTensor<f64>,
+        repl: &DenseTensor<f64>,
+        mode: usize,
+        n_slabs: usize,
+    ) -> Vec<u64> {
+        let (n_j, r_j) = (y.global_shape().dim(mode), repl.dim(mode));
+        let (mut offsets, mut lens) = y.dist().block_of(y.coords());
+        let rows = y.dist().range(mode, grid.coord(mode));
+        let mut out = Vec::new();
+        for s in 0..n_slabs {
+            let cr = block_range(r_j, n_slabs, s);
+            offsets[mode] = cr.offset;
+            lens[mode] = cr.len;
+            let mut data = Vec::new();
+            append_block(repl.data(), repl.shape().dims(), &offsets, &lens, &mut data);
+            let g_s = DenseTensor::from_vec(Shape::new(&lens), data);
+            let z = ratucker_tensor::contract::contract_all_but(y.local(), &g_s, mode);
+            let mut embedded = Matrix::zeros(n_j, cr.len);
+            for c in 0..cr.len {
+                embedded.col_mut(c)[rows.offset..rows.offset + rows.len].copy_from_slice(z.col(c));
+            }
+            out.extend(
+                grid.comm
+                    .try_allreduce(embedded.into_vec(), sum_op)
+                    .unwrap(),
+            );
+        }
+        bits_of(&out)
+    }
+
+    /// The SI contraction against each rank's own core block (mode not
+    /// split) or its fiber-gathered one (mode split) is bitwise the
+    /// replicated-core contraction, at 1 and [`SI_SLABS`] slabs and
+    /// through both public entry points, at degradation rungs 0 and 1,
+    /// on grids that split the first, a middle and the last mode.
+    #[test]
+    fn si_contraction_on_the_fiber_block_is_bitwise_the_replicated_core_path() {
+        let dims = [6, 5, 4];
+        for grid_dims in [vec![1, 1, 2], vec![2, 1, 1], vec![1, 2, 2], vec![2, 2, 2]] {
+            let p: usize = grid_dims.iter().product();
+            let gd = grid_dims.clone();
+            let out = Universe::launch(p, move |c| {
+                let grid = CartGrid::new(c, &gd);
+                let y = DistTensor::from_fn(&grid, Shape::new(&dims), global_value);
+                let mut mismatches = Vec::new();
+                for rung in [0u8, 1] {
+                    mem::set_rung(rung);
+                    for (mode, &n) in dims.iter().enumerate() {
+                        let u = factor(n, 3, mode);
+                        let core = try_dist_ttm(&grid, &y, mode, &u, Transpose::Yes).unwrap();
+                        let repl = core.try_gather_replicated(&grid).unwrap();
+                        let block = core_fiber_block(&grid, &core, mode).unwrap();
+                        for n_slabs in [1, SI_SLABS] {
+                            let want = replicated_core_contraction(&grid, &y, &repl, mode, n_slabs);
+                            let got = contract_impl(&grid, &y, &block, mode, n_slabs).unwrap();
+                            if bits_of(got.as_slice()) != want {
+                                mismatches.push(format!("rung {rung} mode {mode} slabs {n_slabs}"));
+                            }
+                        }
+                        let want = replicated_core_contraction(&grid, &y, &repl, mode, 1);
+                        let fiber = try_dist_contract_fiber(&grid, &y, &core, mode).unwrap();
+                        let replicated = try_dist_contract(&grid, &y, &repl, mode).unwrap();
+                        for (entry, z) in [("fiber", fiber), ("replicated", replicated)] {
+                            if bits_of(z.as_slice()) != want {
+                                mismatches.push(format!("rung {rung} mode {mode} {entry} entry"));
+                            }
+                        }
+                    }
+                }
+                mem::set_rung(0);
+                mismatches
+            });
+            for (rank, mismatches) in out.iter().enumerate() {
+                assert!(
+                    mismatches.is_empty(),
+                    "grid {grid_dims:?} rank {rank}: {mismatches:?}"
+                );
+            }
+        }
     }
 
     /// A d-way problem whose mode `mode`, of extent 12, spans the whole

@@ -248,7 +248,10 @@ pub fn algorithm_cost(alg: AlgKind, prob: &Problem, grid: &[usize]) -> CostBreak
                 let rd = r.powi(d as i32);
                 let si_flops = 4.0 * df * n * rd / p;
                 let sum_pi_minus_1: f64 = grid.iter().map(|&g| g as f64 - 1.0).sum();
-                let si_words = rd / p * sum_pi_minus_1 + 2.0 * df * n * r;
+                // Per mode j: the core TTM's reduce-scatter and the
+                // core's allgather along the same fiber, r^d/P·(P_j − 1)
+                // words each, then the n·r iterate's reduce + broadcast.
+                let si_words = 2.0 * rd / p * sum_pi_minus_1 + 2.0 * df * n * r;
                 phases.push(PhaseCost {
                     label: "SI",
                     parallel_flops: iters * si_flops,

@@ -65,8 +65,15 @@ pub fn gram_accumulate<T: Scalar>(x: &DenseTensor<T>, mode: usize, g: &mut Matri
 
 /// Copies columns `c0..` of the unfolding into `block` (`n_j` rows, one
 /// column per `n_j` entries). Column `l + r·left` is the mode fiber
-/// `x[l, :, r]`: entries `left` apart in slab `r`.
-fn copy_unfolding_cols<T: Scalar>(x: &[T], left: usize, n_j: usize, c0: usize, block: &mut [T]) {
+/// `x[l, :, r]`: entries `left` apart in slab `r`. The SI contraction
+/// ([`crate::contract`]) streams its two unfoldings through it too.
+pub(crate) fn copy_unfolding_cols<T: Scalar>(
+    x: &[T],
+    left: usize,
+    n_j: usize,
+    c0: usize,
+    block: &mut [T],
+) {
     for (c, col) in block.chunks_exact_mut(n_j).enumerate() {
         let (l, r) = ((c0 + c) % left, (c0 + c) / left);
         let fiber = &x[l + r * left * n_j..];

@@ -110,7 +110,7 @@ const SYRK_BLOCK: usize = 8;
 /// unless the narrow `A·op(B)` path takes it: packing would cost a
 /// comparable number of memory moves. The threshold never changes
 /// results — every path produces the canonical chain.
-const PACK_MIN_FLOPS: u64 = 16 * 1024;
+pub(crate) const PACK_MIN_FLOPS: u64 = 16 * 1024;
 
 /// Panic-with-context bounds check shared by the GEMM kernels.
 #[inline]

@@ -23,7 +23,7 @@ use crate::sthosvd::SthosvdTruncation;
 use crate::timings::{Phase, Timings};
 use crate::tucker_tensor::TuckerTensor;
 use ratucker_dist::{
-    try_dist_contract, try_dist_gram_checked, try_dist_ttm_checked, AbftMode, DistTensor,
+    try_dist_contract_fiber, try_dist_gram_checked, try_dist_ttm_checked, AbftMode, DistTensor,
 };
 use ratucker_linalg::evd::rank_for_error;
 use ratucker_linalg::qr::qrcp;
@@ -34,6 +34,7 @@ use ratucker_tensor::io::IoScalar;
 use ratucker_tensor::matrix::Matrix;
 use ratucker_tensor::scalar::Scalar;
 use ratucker_tensor::ttm::Transpose;
+use std::borrow::Cow;
 
 /// A distributed Tucker decomposition: distributed core, replicated
 /// factors.
@@ -230,8 +231,10 @@ fn try_dist_llsv_gram<T: Scalar>(
 }
 
 /// Distributed LLSV via subspace iteration (Alg. 5 over the grid,
-/// fallible): distributed TTM for the core unfolding, core allgather,
-/// distributed contraction with sum-reduce+broadcast, redundant QRCP.
+/// fallible): distributed TTM for the core unfolding, distributed
+/// contraction against each rank's own core block (gathered along the
+/// mode's fiber only when the mode is split) with sum-reduce+broadcast,
+/// redundant QRCP.
 /// `steps` repeats the iteration (the paper uses 1).
 fn try_dist_llsv_subspace<T: Scalar>(
     grid: &CartGrid,
@@ -254,9 +257,8 @@ fn try_dist_llsv_subspace<T: Scalar>(
                 })
             })?
         };
-        let z = timings.time(Phase::Contract, || -> Result<_, CommError> {
-            let core_repl = g_core.try_gather_replicated(grid)?;
-            try_dist_contract(grid, y, &core_repl, mode)
+        let z = timings.time(Phase::Contract, || {
+            try_dist_contract_fiber(grid, y, &g_core, mode)
         })?;
         let f = timings.time(Phase::Qr, || {
             let _s = ratucker_obs::span_mode(&grid.comm, "QR", mode);
@@ -310,7 +312,8 @@ fn try_dist_sthosvd<T: Scalar>(
     let x_norm_sq = x.try_squared_norm(grid)?;
     let mut timings = Timings::new();
     let mut ctx = SweepCtx::off();
-    let mut y = x.clone();
+    // Borrowed until the first TTM: the caller's block is held once.
+    let mut y = Cow::Borrowed(x);
     let mut factors = Vec::with_capacity(d);
     for j in 0..d {
         let mode_trunc = match trunc {
@@ -320,15 +323,18 @@ fn try_dist_sthosvd<T: Scalar>(
             }
         };
         let u = try_dist_llsv_gram(grid, &y, j, mode_trunc, &mut timings, &mut ctx)?;
-        y = timings.time(Phase::Ttm, || {
+        y = Cow::Owned(timings.time(Phase::Ttm, || {
             checked_ttm(grid, &y, j, &u, Transpose::Yes, &mut ctx)
-        })?;
+        })?);
         factors.push(u);
     }
     let core_norm_sq = y.try_squared_norm(grid)?;
     let rel_error = ((x_norm_sq - core_norm_sq).max(0.0) / x_norm_sq).sqrt();
     Ok(DistRunResult {
-        tucker: DistTucker { core: y, factors },
+        tucker: DistTucker {
+            core: y.into_owned(),
+            factors,
+        },
         rel_error,
         timings,
         sweep_errors: vec![rel_error],
