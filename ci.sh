@@ -24,7 +24,7 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 echo "==> verify: differential oracles + invariant checkers"
 cargo test -q --offline -p ratucker-verify
 
-echo "==> verify: 25-schedule exploration incl. crash-recovery, straggler demotion, budget pressure, slabbed TTM/SI (fixed seeds)"
+echo "==> verify: 25-schedule exploration incl. crash-recovery, straggler demotion, budget pressure, rung-1 slabbed TTM + HOSI (fixed seeds)"
 cargo test -q --offline -p ratucker-verify --test explore -- \
   p4_recovery_converges_to_identical_state_under_25_schedules \
   p4_straggler_demotion_converges_to_identical_state_under_25_schedules \
@@ -63,9 +63,10 @@ if [ "$PAR_ELAPSED" -ge 60 ]; then
   exit 1
 fi
 
-echo "==> overlap smoke (slab counts, ladder rung and SI core block bitwise invisible, collective fold order, mid-pipeline drain; 60 s guard)"
+echo "==> overlap smoke (one collective per rung-0 kernel call; rung-1 TTM slab counts, ladder rung and SI core block bitwise invisible; collective fold order; mid-pipeline drain; 60 s guard)"
 OVL_T0=$SECONDS
 cargo test -q --offline -p ratucker-dist --lib -- \
+  rung_zero_kernels_post_one_collective \
   slab_count_is_bitwise_invisible \
   rung_one_ttm_is_bitwise_rung_zero_on_every_fiber \
   si_contraction_on_the_fiber_block_is_bitwise_the_replicated_core_path
@@ -105,12 +106,13 @@ if [ "$GRAY_ELAPSED" -ge 60 ]; then
   exit 1
 fi
 
-echo "==> memory-pressure smoke (degradation ladder + checkpoint-floor fallback + rung-1 TTM staging; 60 s guard)"
+echo "==> memory-pressure smoke (degradation ladder + checkpoint-floor fallback + rung-0 and rung-1 TTM staging; 60 s guard)"
 MEM_T0=$SECONDS
 cargo test -q --offline --test chaos -- --test-threads=1 \
   mid_sweep_budget_shrink_engages_ladder_and_converges \
   budget_below_checkpoint_floor_falls_back_cleanly
 cargo test -q --offline --test mem_band -- \
+  rung_zero_ttm_hwm_is_bounded_by_its_estimate \
   rung_one_ttm_hwm_is_bounded_by_its_estimate_and_below_rung_zero
 MEM_ELAPSED=$((SECONDS - MEM_T0))
 if [ "$MEM_ELAPSED" -ge 60 ]; then

@@ -118,29 +118,6 @@ impl PhaseBreakdown {
         self.phases.iter().map(|s| s.max_secs()).sum()
     }
 
-    /// Critical-path estimate with comm/compute overlap credited: phases
-    /// whose label is in `labels` (e.g. `["TTM", "SI"]`, the slabbed
-    /// kernels) contribute only `(1 − credit)` of their slowest-rank
-    /// time, because a `credit` fraction of each is expected to hide
-    /// behind the adjacent slab's local compute in the pipelined kernels
-    /// (DESIGN.md §17). With `credit = (S − 1)/S` for an `S`-slab
-    /// pipeline this matches `perfmodel`'s `words_with_overlap` term.
-    /// `credit` is clamped to `[0, 1]`; unlisted phases are unchanged.
-    pub fn critical_path_secs_overlapped(&self, labels: &[&str], credit: f64) -> f64 {
-        let credit = credit.clamp(0.0, 1.0);
-        self.phases
-            .iter()
-            .map(|s| {
-                let keep = if labels.contains(&s.phase) {
-                    1.0 - credit
-                } else {
-                    1.0
-                };
-                s.max_secs() * keep
-            })
-            .sum()
-    }
-
     /// Mean per-rank total exclusive time (the "perfect balance" wall
     /// time for the same work).
     pub fn balanced_secs(&self) -> f64 {
@@ -230,28 +207,6 @@ mod tests {
         // Display renders without panicking and mentions both phases.
         let text = format!("{b}");
         assert!(text.contains("A") && text.contains("critical path"));
-    }
-
-    #[test]
-    fn overlapped_critical_path_credits_listed_phases_only() {
-        let events = vec![
-            ev(0, "TTM", 2_000_000, 100),
-            ev(1, "TTM", 1_000_000, 50),
-            ev(0, "LLSV", 1_000_000, 0),
-            ev(1, "LLSV", 1_000_000, 0),
-        ];
-        let b = PhaseBreakdown::from_events(&events, 2);
-        // Blocking estimate: 2 (TTM max) + 1 (LLSV max) = 3 s.
-        assert!((b.critical_path_secs() - 3.0).abs() < 1e-12);
-        // 4-slab pipeline hides 3/4 of TTM: 2·(1/4) + 1 = 1.5 s.
-        let overlapped = b.critical_path_secs_overlapped(&["TTM"], 0.75);
-        assert!((overlapped - 1.5).abs() < 1e-12);
-        // Zero credit degenerates to the blocking estimate; credit is
-        // clamped so an out-of-range value cannot go negative.
-        assert!((b.critical_path_secs_overlapped(&["TTM"], 0.0) - 3.0).abs() < 1e-12);
-        assert!(b.critical_path_secs_overlapped(&["TTM", "LLSV"], 7.0) >= 0.0);
-        // Unlisted labels are untouched.
-        assert!((b.critical_path_secs_overlapped(&["SI"], 0.75) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -92,12 +92,6 @@ pub struct PhaseCost {
     /// Words of memory traffic per full pass over the operands, total
     /// across ranks (drives the roofline bandwidth bound).
     pub touched_words: f64,
-    /// The portion of `words` that the slab pipeline can hide behind
-    /// slab-local compute: `(S − 1)/S` of a slabbed collective's words
-    /// for an `S`-slab pipeline (S = 2 for both the TTM reduce-scatter
-    /// and the SI iterate allreduce; DESIGN.md §17). Zero for phases
-    /// with no pipelined collective.
-    pub overlappable_words: f64,
 }
 
 /// A full per-phase cost breakdown.
@@ -121,19 +115,6 @@ impl CostBreakdown {
     /// Total words communicated.
     pub fn words(&self) -> f64 {
         self.phases.iter().map(|p| p.words).sum()
-    }
-
-    /// Critical-path words with comm/compute overlap credited:
-    /// `words() − efficiency · Σ overlappable_words`, where `efficiency`
-    /// ∈ [0, 1] (clamped) is the fraction of the hideable traffic that
-    /// actually disappears behind compute — 1.0 models a perfectly
-    /// compute-bound pipeline, 0.0 recovers the blocking model.
-    pub fn words_with_overlap(&self, efficiency: f64) -> f64 {
-        let eff = efficiency.clamp(0.0, 1.0);
-        self.phases
-            .iter()
-            .map(|p| p.words - eff * p.overlappable_words.min(p.words))
-            .sum()
     }
 }
 
@@ -187,7 +168,6 @@ pub fn algorithm_cost(alg: AlgKind, prob: &Problem, grid: &[usize]) -> CostBreak
                 words: llsv_words,
                 messages: 3.0 * df * log2p(p),
                 touched_words: touched,
-                overlappable_words: 0.0,
             });
             phases.push(PhaseCost {
                 label: "EVD",
@@ -196,7 +176,6 @@ pub fn algorithm_cost(alg: AlgKind, prob: &Problem, grid: &[usize]) -> CostBreak
                 words: 0.0,
                 messages: 0.0,
                 touched_words: df * n * n,
-                overlappable_words: 0.0,
             });
             phases.push(PhaseCost {
                 label: "TTM",
@@ -205,8 +184,6 @@ pub fn algorithm_cost(alg: AlgKind, prob: &Problem, grid: &[usize]) -> CostBreak
                 words: ttm_words,
                 messages: df * log2p(p),
                 touched_words: touched,
-                // 2-slab pipelined reduce-scatter.
-                overlappable_words: 0.5 * ttm_words,
             });
         }
         _ => {
@@ -239,8 +216,6 @@ pub fn algorithm_cost(alg: AlgKind, prob: &Problem, grid: &[usize]) -> CostBreak
                 words: iters * ttm_words,
                 messages: iters * df * df * log2p(p),
                 touched_words: iters * ttm_touched,
-                // 2-slab pipelined reduce-scatter.
-                overlappable_words: 0.5 * iters * ttm_words,
             });
 
             if alg.uses_subspace_iter() {
@@ -259,9 +234,6 @@ pub fn algorithm_cost(alg: AlgKind, prob: &Problem, grid: &[usize]) -> CostBreak
                     words: iters * si_words,
                     messages: iters * 3.0 * df * log2p(p),
                     touched_words: iters * 2.0 * df * n * r.powi(d as i32 - 1),
-                    // 2-slab pipelined iterate allreduce hides half of
-                    // the 2·d·n·r reduce+broadcast term.
-                    overlappable_words: iters * df * n * r,
                 });
                 phases.push(PhaseCost {
                     label: "QR",
@@ -272,7 +244,6 @@ pub fn algorithm_cost(alg: AlgKind, prob: &Problem, grid: &[usize]) -> CostBreak
                     words: 0.0,
                     messages: 0.0,
                     touched_words: iters * df * n * r,
-                    overlappable_words: 0.0,
                 });
             } else {
                 // --- Gram + EVD LLSV ---
@@ -286,7 +257,6 @@ pub fn algorithm_cost(alg: AlgKind, prob: &Problem, grid: &[usize]) -> CostBreak
                     words: iters * gram_words,
                     messages: iters * 3.0 * df * log2p(p),
                     touched_words: iters * df * n * r.powi(d as i32 - 1),
-                    overlappable_words: 0.0,
                 });
                 phases.push(PhaseCost {
                     label: "EVD",
@@ -295,7 +265,6 @@ pub fn algorithm_cost(alg: AlgKind, prob: &Problem, grid: &[usize]) -> CostBreak
                     words: 0.0,
                     messages: 0.0,
                     touched_words: iters * df * n * n,
-                    overlappable_words: 0.0,
                 });
             }
 
@@ -308,7 +277,6 @@ pub fn algorithm_cost(alg: AlgKind, prob: &Problem, grid: &[usize]) -> CostBreak
                 words: iters * rd,
                 messages: iters * log2p(p),
                 touched_words: iters * rd,
-                overlappable_words: 0.0,
             });
         }
     }
@@ -400,33 +368,6 @@ mod tests {
         let bad = algorithm_cost(AlgKind::HosiDt, &prob, &[4, 1, 1, 4]).words();
         let good = algorithm_cost(AlgKind::HosiDt, &prob, &[1, 4, 4, 1]).words();
         assert!(good < bad, "{good} vs {bad}");
-    }
-
-    #[test]
-    fn overlap_credit_reduces_words_but_never_below_zero() {
-        let prob = Problem::new(800, 16, 3, 2);
-        for alg in AlgKind::ALL {
-            let c = algorithm_cost(alg, &prob, &[1, 2, 4]);
-            let blocking = c.words();
-            // Zero efficiency recovers the blocking model exactly.
-            assert_eq!(c.words_with_overlap(0.0), blocking, "{}", alg.name());
-            // Full efficiency strictly helps every algorithm (all of them
-            // run TTMs) and stays non-negative; out-of-range efficiency
-            // is clamped, not amplified.
-            let overlapped = c.words_with_overlap(1.0);
-            assert!(
-                overlapped < blocking && overlapped >= 0.0,
-                "{}: {overlapped} vs {blocking}",
-                alg.name()
-            );
-            assert_eq!(c.words_with_overlap(5.0), overlapped, "{}", alg.name());
-            // Only TTM/SI phases carry an overlap term.
-            for ph in &c.phases {
-                if ph.label != "TTM" && ph.label != "SI" {
-                    assert_eq!(ph.overlappable_words, 0.0, "{}", ph.label);
-                }
-            }
-        }
     }
 
     #[test]

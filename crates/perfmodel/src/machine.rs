@@ -135,7 +135,6 @@ mod tests {
             words: 0.0,
             messages: 0.0,
             touched_words: 0.0,
-            overlappable_words: 0.0,
         };
         let base = m.phase_time(&phase, 16);
         phase.words = 1e9;

@@ -5,8 +5,9 @@
 //! replicas, the replicated factor matrices, the gathered core, and the
 //! TTM/Gram staging slabs. This module turns those shapes into a
 //! per-rank **peak estimate in bytes**, evaluated per rung of the
-//! graceful-degradation ladder (rung 1 reduces the TTM in `2·P_j`
-//! slabs, rung 2 streams the Gram assembly — see `ratucker::recover`),
+//! graceful-degradation ladder (rung 0 reduces the TTM in one slab and
+//! rung 1 in `2·P_j`, under the one charge rule of the distributed
+//! TTM; rung 2 streams the Gram assembly — see `ratucker::recover`),
 //! and an **admission** decision: given a `--mem-budget`, either the run is
 //! admitted at the cheapest rung whose projected peak fits, or it is
 //! rejected up front with the shortfall — *before* any rank allocates a
@@ -61,8 +62,6 @@ impl MemProblem {
 pub struct MemEstimate {
     /// The rank's resident tensor block.
     pub block: u64,
-    /// The caller-retained input copy (the driver clones the block).
-    pub input_copy: u64,
     /// Buddy replicas of `degree` predecessor blocks.
     pub replicas: u64,
     /// Factor matrices, replicated on every rank.
@@ -80,7 +79,6 @@ impl MemEstimate {
     /// of the two (mutually exclusive) staging phases.
     pub fn peak(&self) -> u64 {
         self.block
-            + self.input_copy
             + self.replicas
             + self.factors
             + self.core
@@ -101,12 +99,12 @@ pub fn estimate_peak(prob: &MemProblem, rung: u8) -> MemEstimate {
 
     // Per-mode TTM staging. The partial product spans local_left ×
     // r_j × local_right entries (the output mode is global width before
-    // the reduce-scatter); rung 0 holds it and the reduced block. At
-    // rung ≥ 1 a split mode reduces it in the dist TTM's 2·p_j slabs,
-    // cut by `slab_grid`: each charges its partial product and packed
-    // copy (2·slab + p_j entries) while in flight, two are in flight at
-    // once, and the operand's local_n_j × r_j row slice lives beside
-    // them.
+    // the reduce-scatter). A local mode holds it and its result. A split
+    // mode reduces it in the dist TTM's slabs, cut by `slab_grid`: one
+    // at rung 0, 2·p_j at rung ≥ 1. Each charges its partial product
+    // and packed copy (2·slab + p_j entries) while in flight, at most
+    // two are in flight at once, and the operand's local_n_j × r_j row
+    // slice lives beside them.
     let mut ttm_staging = 0u64;
     // Per-mode Gram staging: the unfolding columns of the fully
     // contracted-by-others tensor, C_j = Π_{k≠j} r_k of them, staged
@@ -114,17 +112,16 @@ pub fn estimate_peak(prob: &MemProblem, rung: u8) -> MemEstimate {
     // (rung 2 streams the scratch in 8 batches) plus the n_j² Gram.
     let mut gram_staging = 0u64;
     for j in 0..d {
-        let lines = prob.block_entries() / prob.local_dim(j) as u64;
-        let slab = lines * prob.ranks[j] as u64;
         let pj = prob.grid[j] as u64;
-        let ttm = if rung >= 1 && pj > 1 {
+        let ttm = if pj > 1 {
             let left: usize = (0..j).map(|k| prob.local_dim(k)).product();
             let right: usize = (j + 1..d).map(|k| prob.local_dim(k)).product();
-            let (n_left, n_right) = slab_grid(left, right, 2 * prob.grid[j]);
+            let n = if rung >= 1 { 2 * prob.grid[j] } else { 1 };
+            let (n_left, n_right) = slab_grid(left, right, n);
             let largest = (left.div_ceil(n_left) * right.div_ceil(n_right) * prob.ranks[j]) as u64;
-            (prob.local_dim(j) * prob.ranks[j]) as u64 + 2 * (2 * largest + pj)
+            (prob.local_dim(j) * prob.ranks[j]) as u64 + n.min(2) as u64 * (2 * largest + pj)
         } else {
-            slab + slab.div_ceil(pj)
+            2 * prob.block_entries() / prob.local_dim(j) as u64 * prob.ranks[j] as u64
         };
         ttm_staging = ttm_staging.max(ttm * e);
 
@@ -147,7 +144,6 @@ pub fn estimate_peak(prob: &MemProblem, rung: u8) -> MemEstimate {
 
     MemEstimate {
         block,
-        input_copy: block,
         replicas: prob.buddy_degree as u64 * block,
         factors: factors * e,
         core: core * e,

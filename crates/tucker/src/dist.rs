@@ -8,10 +8,11 @@
 //! EVD plateau of STHOSVD vs. HOSI's thin QR) depends on reproducing that
 //! design decision.
 //!
-//! The TTM and SI kernels these algorithms call may split their work
-//! into slabs and post each slab's collective behind the next slab's
-//! local compute (DESIGN.md §17). Their results are bitwise independent
-//! of the slab count, so nothing here depends on how they slab.
+//! Each TTM and SI kernel call these algorithms make is one collective
+//! at degradation rung 0; under memory pressure (rung ≥ 1) the TTM
+//! splits its reduction into slabs (DESIGN.md §17). Its result is
+//! bitwise independent of the slab count, so nothing here depends on
+//! the rung.
 
 use crate::checkpoint::{CheckpointPolicy, FileCheckpointer, NoCheckpoint, RaCheckpointer};
 use crate::hooi::{HooiConfig, LlsvStrategy, TtmStrategy};

@@ -32,12 +32,13 @@ use ratucker_tensor::scalar::Scalar;
 /// Highest rung of the graceful-degradation ladder that still makes
 /// forward progress. The rungs (see `DESIGN.md` §14):
 ///
-/// * **0** — normal operation: the TTM reduce-scatter in at most two
-///   right-slabs, charged up front; one-shot Gram assembly.
+/// * **0** — normal operation: one TTM reduce-scatter per call; one-shot
+///   Gram assembly.
 /// * **1** — slabbed TTM: the same slab loop as rung 0 at about `2·P_j`
-///   slabs, each charging only its own partial product and packed copy
-///   while in flight, so two slabs' worth is held instead of twice the
-///   whole partial product. Results are bitwise rung 0's.
+///   slabs instead of one, each charging only its own partial product
+///   and packed copy while in flight, so two slabs' worth is held
+///   instead of twice the whole partial product. Results are bitwise
+///   rung 0's.
 /// * **2** — streamed Gram: the unfolding columns are assembled and
 ///   accumulated into the Gram matrix in batches instead of one
 ///   full-width scratch matrix.

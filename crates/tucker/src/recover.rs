@@ -562,12 +562,12 @@ fn attempt_sweep<T: Scalar>(
     // every rank reaches the same decision without extra coordination.
     let mut analysed = None;
     if met {
-        let core_repl = timings.time(Phase::Other, || core.try_gather_replicated(grid))?;
-        let analysis = timings.time(Phase::CoreAnalysis, || {
+        analysed = Some(timings.time(Phase::CoreAnalysis, || {
             let _s = ratucker_obs::span(&grid.comm, "CoreAnalysis");
-            analyze_core(&core_repl, dims, x_norm_sq, config.eps)
-        });
-        analysed = Some((core_repl, analysis));
+            let core_repl = core.try_gather_replicated(grid)?;
+            let analysis = analyze_core(&core_repl, dims, x_norm_sq, config.eps);
+            Ok::<_, CommError>((core_repl, analysis))
+        })?);
     }
     let analysis = analysed
         .as_ref()
@@ -653,16 +653,9 @@ pub(crate) fn ra_driver<T: Scalar>(
     // Rank floors are frozen at the original grid dims (see module docs).
     let floor: Vec<usize> = grid0.dims().to_vec();
     let mut grid = grid0.clone();
-    // With recovery on the run works on its own copy of the block,
-    // which a shrink replaces; the copy is charged to the ledger, and
-    // the memory-pressure budgets of the chaos suite are set against
-    // it. With recovery off nothing replaces the block, so it is only
-    // borrowed.
-    let mut x = if res.max_recoveries > 0 {
-        Cow::Owned(x0.clone())
-    } else {
-        Cow::Borrowed(x0)
-    };
+    // The caller's block is borrowed, never copied: recovery only reads
+    // it, and a shrink swaps in the re-blocked tensor it returns.
+    let mut x = Cow::Borrowed(x0);
     let mut report = RecoveryReport::default();
 
     // ‖X‖² is computed once, before any failure, and carried through
@@ -948,6 +941,41 @@ mod tests {
             result.tucker.factors.clone(),
             result.tucker.gather(grid).core.data().to_vec(),
         )
+    }
+
+    /// The core gather that feeds eq. (3) runs under the
+    /// `CoreAnalysis` span: at P = 2 every such span carries the
+    /// gather's allgatherv bytes instead of booking them to `sweep`.
+    #[test]
+    fn core_analysis_spans_carry_the_core_gather() {
+        use ratucker_mpi::CollectiveKind;
+        let spec = SyntheticSpec::new(&[12, 10, 8], &[3, 3, 2], 0.02, 209);
+        let session = ratucker_obs::TraceSession::start();
+        Universe::launch(2, move |c| {
+            let grid = CartGrid::new(c, &[1, 1, 2]);
+            let x = build_dist(&grid, &spec);
+            let res = ResilienceConfig::default();
+            match dist_ra_hooi_resilient(&grid, &x, &undershoot_cfg(), &res).unwrap() {
+                ResilientOutcome::Completed { result, .. } => {
+                    assert!(result.timings.secs(Phase::CoreAnalysis) > 0.0)
+                }
+                other => panic!("fault-free run must complete, got {other:?}"),
+            }
+        });
+        let trace = session.finish();
+        let spans: Vec<_> = trace
+            .events
+            .iter()
+            .filter(|e| e.phase == "CoreAnalysis")
+            .collect();
+        assert!(!spans.is_empty(), "the run must reach a core analysis");
+        for e in spans {
+            assert!(
+                e.traffic.bytes_of(CollectiveKind::Allgatherv) > 0,
+                "rank {}: CoreAnalysis span carries no gather bytes",
+                e.rank
+            );
+        }
     }
 
     #[test]

@@ -84,15 +84,17 @@ fn p4_pipelined_ttm_si_bit_identical_under_25_schedules() {
     use ratucker_dist::try_dist_ttm;
     use ratucker_tensor::{Matrix, Transpose};
 
-    // Both slabbed kernels under every schedule: the mode-1 TTM over a
-    // 4-rank fiber (slab reduce-scatters in flight behind slab GEMMs)
-    // and the HOSI subspace iteration (slab allreduces in flight behind
-    // slab contractions). Results must agree bitwise across schedules —
-    // any divergence is a schedule race in the split-phase machinery,
-    // not roundoff.
+    // The slabbed TTM under every schedule, at degradation rung 1 where
+    // the slab pipeline lives: the mode-1 TTM over a 4-rank fiber (slab
+    // reduce-scatters in flight behind slab GEMMs), then the HOSI
+    // subspace iteration (slabbed TTMs, one iterate allreduce per SI
+    // step). Results must agree bitwise across schedules — any
+    // divergence is a schedule race in the split-phase machinery, not
+    // roundoff.
     let spec = SyntheticSpec::new(&[12, 16, 10], &[3, 4, 2], 0.02, 4343);
     let u = Universe::new(4);
     u.set_recv_timeout(Duration::from_secs(20));
+    u.set_start_rung(1);
     let report = u.explore(N_SCHEDULES, 0x0E71, move |c| {
         let grid = CartGrid::new(c, &[1, 4, 1]);
         let x = DistTensor::scatter_from_replicated(&grid, &spec.build::<f64>());

@@ -863,17 +863,19 @@ fn deadline_expiry_under_dead_slow_rank_falls_back_to_checkpoint() {
     .unwrap();
 
     // Rank 1 turns dead-slow (2 s per data-plane op) partway into the
-    // first sweep, against a 250 ms per-collective budget; replication
+    // last sweep, against a 250 ms per-collective budget; replication
     // is disabled, so once the blame retires the straggler the only
     // clean exit is the disk fallback. The onset keeps the setup
     // collectives (grid construction, ‖X‖²) fault-free — those run
     // outside the resilient driver, exactly like a real job's
     // initialization, and a node degrading mid-run is the gray-failure
-    // shape this scenario models.
+    // shape this scenario models. Op 80 of rank 1's 104 fault-free ops
+    // is the reduce-scatter wait of the third sweep's first TTM after
+    // its first SI step.
     let victim = 1usize;
     let plan = FaultPlan::quiet(61)
         .with_slow_rank(victim, Duration::from_secs(2))
-        .with_slow_onset(victim, 120);
+        .with_slow_onset(victim, 80);
     let u = Universe::with_fault_plan(4, plan);
     u.set_recv_timeout(Duration::from_secs(120));
     u.set_deadline_policy(Some(DeadlinePolicy::uniform(Duration::from_millis(250))));
@@ -975,14 +977,14 @@ fn mid_sweep_budget_shrink_engages_ladder_and_converges() {
     })[0];
     assert!(ref_err <= cfg.eps, "reference missed ε: {ref_err}");
 
-    // Rank 3's budget shrinks to 28800 B at fabric op 60: enough for the
+    // Rank 3's budget shrinks to 21120 B at fabric op 60: enough for the
     // resident working set but below the rung-0 TTM staging peak of the
     // grown-rank sweeps. Replication is off so the budget bites inside
     // the sweep (far from the sweep-commit boundary), which keeps the
     // recovery deterministic: the refused allocation revokes the data
     // plane, every rank agrees rung 1 on the ctrl plane, and the sweep
     // retries with slab-by-slab TTM reductions that fit.
-    let plan = FaultPlan::quiet(67).with_mem_pressure(3, 60, 28_800);
+    let plan = FaultPlan::quiet(67).with_mem_pressure(3, 60, 21_120);
     let u = Universe::with_fault_plan(8, plan);
     u.set_recv_timeout(Duration::from_secs(5));
     let s = spec.clone();

@@ -341,6 +341,9 @@ fn straggler_demotion_drains_inflight_pipeline_cleanly() {
     let plan = FaultPlan::quiet(77).with_slow_rank(VICTIM, Duration::from_millis(5));
     let u = Universe::with_fault_plan(4, plan);
     u.set_recv_timeout(Duration::from_secs(60));
+    // Degradation rung 1, where the distributed TTM runs its slab
+    // pipeline.
+    u.set_start_rung(1);
     let out = u.run(move |c| {
         let spec = SyntheticSpec::new(&[12, 10, 8], &[3, 3, 2], 0.01, 917);
         let grid = CartGrid::new(c, &[2, 2, 1]);
@@ -354,8 +357,8 @@ fn straggler_demotion_drains_inflight_pipeline_cleanly() {
                 .with_consecutive(1)
                 .with_min_secs(0.02),
         );
-        // The sweeps leading up to the demotion run the slabbed kernels
-        // (mode 0 spans two ranks with right > 1), so the verdict lands
+        // The sweeps leading up to the demotion run the slabbed TTM
+        // (modes 0 and 1 span two ranks each), so the verdict lands
         // with split-phase requests posted on the victim's fibers.
         match dist_ra_hooi_resilient(&grid, &x, &cfg, &res).expect("no rank errors out") {
             ResilientOutcome::Completed { result, report, .. } => {

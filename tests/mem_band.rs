@@ -96,20 +96,37 @@ fn one_ttm_hwm(rung: u8) -> Vec<u64> {
     })
 }
 
-#[test]
-fn rung_one_ttm_hwm_is_bounded_by_its_estimate_and_below_rung_zero() {
-    let rung0 = one_ttm_hwm(0);
-    let rung1 = one_ttm_hwm(1);
-    // Only mode 2's TTM runs: ranks of 1 elsewhere keep the other
-    // modes' staging terms below it.
-    let prob = MemProblem {
+/// The problem of [`one_ttm_hwm`]. Only mode 2's TTM runs: ranks of 1
+/// elsewhere keep the other modes' staging terms below it.
+fn one_ttm_problem() -> MemProblem {
+    MemProblem {
         dims: vec![8, 12, 10],
         grid: vec![1, 1, 2],
         ranks: vec![1, 1, 4],
         buddy_degree: 0,
         abft: false,
         elem_bytes: 8,
-    };
+    }
+}
+
+#[test]
+fn rung_zero_ttm_hwm_is_bounded_by_its_estimate() {
+    let rung0 = one_ttm_hwm(0);
+    let est = estimate_peak(&one_ttm_problem(), 0).ttm_staging;
+    println!("TTM hwm per rank at rung 0 {rung0:?}; rung-0 estimate {est}");
+    for (rank, &h0) in rung0.iter().enumerate() {
+        assert!(
+            h0 <= est,
+            "rank {rank}: rung-0 TTM high-water {h0} B exceeds its estimate {est} B"
+        );
+    }
+}
+
+#[test]
+fn rung_one_ttm_hwm_is_bounded_by_its_estimate_and_below_rung_zero() {
+    let rung0 = one_ttm_hwm(0);
+    let rung1 = one_ttm_hwm(1);
+    let prob = one_ttm_problem();
     let est = estimate_peak(&prob, 1).ttm_staging;
     println!("TTM hwm per rank: rung 0 {rung0:?}, rung 1 {rung1:?}; rung-1 estimate {est}");
     for (rank, (&h0, &h1)) in rung0.iter().zip(&rung1).enumerate() {

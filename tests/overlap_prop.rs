@@ -1,10 +1,11 @@
-//! Property tests for the slabbed TTM (DESIGN.md §17) on the wire:
-//! injected message drops healed by the retry policy must leave the
-//! slabbed TTM and the Gram bitwise equal to a clean-wire run; and a
-//! rank crash landing mid-pipeline — with slab reduce-scatters in
-//! flight — must surface on every survivor as a typed [`CommError`],
-//! never a hang. That the slab count itself never shows in the results
-//! is pinned by `ratucker-dist`'s `slab_count_is_bitwise_invisible`.
+//! Property tests for the slabbed TTM (DESIGN.md §17) on the wire, run
+//! at degradation rung 1 where the slab pipeline lives: injected
+//! message drops healed by the retry policy must leave the slabbed TTM
+//! and the Gram bitwise equal to a clean-wire run; and a rank crash
+//! landing mid-pipeline — with slab reduce-scatters in flight — must
+//! surface on every survivor as a typed [`CommError`], never a hang.
+//! That the slab count itself never shows in the results is pinned by
+//! `ratucker-dist`'s `slab_count_is_bitwise_invisible`.
 
 use std::time::Duration;
 
@@ -60,12 +61,15 @@ proptest! {
     ) {
         let d = 3usize;
         let p = 4usize;
-        let clean = Universe::new(p).run(move |c| ttm_gram_bits(c, d, seed));
+        let clean = Universe::new(p);
+        clean.set_start_rung(1);
+        let clean = clean.run(move |c| ttm_gram_bits(c, d, seed));
         let u = Universe::with_fault_plan(
             p,
             FaultPlan::quiet(seed).with_drops(f64::from(prob_pct) / 100.0),
         );
         u.set_retry_policy(Some(RetryPolicy::new(12)));
+        u.set_start_rung(1);
         let dropped = u.run(move |c| ttm_gram_bits(c, d, seed));
         for (rank, (a, b)) in clean.iter().zip(&dropped).enumerate() {
             prop_assert_eq!(a, b, "rank {}: healed drops changed the bits", rank);
@@ -90,6 +94,7 @@ proptest! {
             FaultPlan::quiet(seed).with_crash(VICTIM, crash_op),
         );
         u.set_recv_timeout(Duration::from_secs(10));
+        u.set_start_rung(1);
         let out = u.try_run(move |c| {
             let grid = CartGrid::new(c, &grid_for(d, p));
             let dims = dims_for(d);
